@@ -112,6 +112,11 @@ def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=No
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
 
 
+def _require(ok: bool, field: str, rule: str):
+    if not ok:
+        raise ConfigError(f"{field}: {rule}")
+
+
 def load_config(path: Path, seed_override: Optional[int] = None,
                 out_override: Optional[Path] = None) -> ExperimentConfig:
     path = Path(path)
@@ -156,15 +161,17 @@ def load_config(path: Path, seed_override: Optional[int] = None,
         raise ConfigError(f"basis.kind: unknown basis {basis_kind!r}")
 
     sigma = _get(cp, "rsg", "noise_sigma", float, 0.0)
+    _require(np.isfinite(sigma) and sigma >= 0, "rsg.noise_sigma", "must be finite and >= 0")
     noise = NoiseModel("additive_gaussian", sigma) if sigma > 0 else NoiseModel()
-    oracle = OracleConfig(
-        theta_samples_per_call=_get(cp, "rsg", "theta_samples", int, 64),
-        noise=noise,
-    )
+    theta_samples = _get(cp, "rsg", "theta_samples", int, 64)
+    _require(theta_samples >= 1, "rsg.theta_samples", "must be >= 1")
+    oracle = OracleConfig(theta_samples_per_call=theta_samples, noise=noise)
     seed = seed_override if seed_override is not None else _get(cp, "rsg", "seed", int, 0)
     initial_step = None
     if cp.has_option("rsg", "initial_step"):
         initial_step = _get(cp, "rsg", "initial_step", float)
+        _require(np.isfinite(initial_step) and initial_step > 0, "rsg.initial_step",
+                 "must be finite and > 0")
     try:
         rsg = RsgConfig(
             eps0=_get(cp, "rsg", "eps0", float),
@@ -196,14 +203,19 @@ def load_config(path: Path, seed_override: Optional[int] = None,
         if not out_dir.is_absolute():
             out_dir = path.parent / out_dir
 
+    stats_samples = _get(cp, "stats", "samples", int, 10000)
+    _require(stats_samples >= 1, "stats.samples", "must be >= 1")
+    round_eps = _get(cp, "stats", "round_eps", float, 0.1)
+    _require(0 < round_eps < 1, "stats.round_eps", "must lie in (0, 1)")
+
     cfg = ExperimentConfig(
         problem_kind=kind,
         measure=measure,
         basis_kind=basis_kind,
         rsg=rsg,
-        stats_samples=_get(cp, "stats", "samples", int, 10000),
+        stats_samples=stats_samples,
         stats_quantiles=quantiles,
-        round_eps=_get(cp, "stats", "round_eps", float, 0.1),
+        round_eps=round_eps,
         out_dir=Path(out_dir),
         mu=mu,
         l_max=l_max,

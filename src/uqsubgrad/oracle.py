@@ -6,14 +6,21 @@ per-theta subgradient (optionally noised), and averages against the basis:
 the result is an unbiased Monte Carlo estimate of the coefficients of the
 level-m truncated subgradient, in the same coordinates an Expansion of the
 matching family uses (orthonormal coefficients for the polynomial family,
-per-cell averages for the piecewise family). Reductions are plain fixed-order
-numpy sums, so a fixed seed reproduces the output bit for bit.
+per-cell averages for the piecewise family).
+
+Draws come in blocks: a :class:`ThetaBlock` holds T rows of n thetas, their
+noise, and the basis evaluated at all of them once (the Legendre design
+matrix, or each theta's cell index). The solver draws one block per stage
+and steps through its rows; :func:`estimate_truncated_subgradient` is the
+T = 1 case. Within a block the thetas are drawn first and the noise second.
+Reductions are plain fixed-order numpy sums, so a fixed seed reproduces the
+output bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -50,6 +57,55 @@ class GVEstimate:
         return self.G_sq + self.V_sq
 
 
+@dataclass(frozen=True)
+class ThetaBlock:
+    """T rows of n theta draws with everything about them that does not
+    depend on the iterate.
+
+    ``design`` is the (T, n, m) matrix of the first m orthonormal polynomials
+    at each theta, or for the piecewise family the (T, n) cell index of each
+    theta. ``noise`` is the (T, n, q) noise block, or None when noise is off.
+    ``scale`` divides the basis-weighted subgradient sum: n for the
+    polynomial family, n times the cell measures for the piecewise family.
+    """
+
+    family: bs.BasisFamily
+    thetas: np.ndarray
+    noise: Optional[np.ndarray]
+    design: np.ndarray
+    scale: Union[int, np.ndarray]
+
+    @classmethod
+    def draw(
+        cls, e: bs.Expansion, T: int, cfg: OracleConfig, rng: np.random.Generator
+    ) -> "ThetaBlock":
+        """Draw the thetas, then the noise, and evaluate e's basis (its first
+        e.m functions) on them once."""
+        family = e.basis
+        mes = family.measure
+        n = cfg.theta_samples_per_call
+        thetas = rng.uniform(mes.a, mes.b, size=(T, n))
+        noise = cfg.noise.draw(rng, (T, n, e.q))
+        if family.kind == bs.LEGENDRE:
+            return cls(family, thetas, noise, family.eval_matrix(thetas, e.m), n)
+        idx = bs.cell_index(family.partition, mes, thetas)
+        scale = n * bs.cell_measures(family.partition, mes)[:, None]
+        return cls(family, thetas, noise, idx, scale)
+
+    def estimate(self, p: ProblemSpec, t: int, u: np.ndarray, m: int) -> np.ndarray:
+        """Level-m truncated-subgradient estimate at coefficients ``u`` from
+        row ``t`` of the block."""
+        B = self.design[t]
+        noise = None if self.noise is None else self.noise[t]
+        if self.family.kind == bs.LEGENDRE:
+            g = np.asarray(p.subgradient(B @ u, self.thetas[t], noise), dtype=float)
+            return B[:, :m].T @ g / self.scale
+        g = np.asarray(p.subgradient(u[B], self.thetas[t], noise), dtype=float)
+        acc = np.zeros(u.shape)
+        np.add.at(acc, B, g)
+        return acc / self.scale
+
+
 def estimate_truncated_subgradient(
     p: ProblemSpec,
     e: bs.Expansion,
@@ -62,31 +118,14 @@ def estimate_truncated_subgradient(
     For each sampled theta_j: synthesize x(theta_j), query the subgradient
     (noise drawn per sample when configured), and average g(theta_j) against
     the basis functions. Unbiased for the quadrature coefficients under zero
-    noise as the sample count grows.
+    noise as the sample count grows. A one-row :class:`ThetaBlock`.
     """
-    mes = e.basis.measure
-    n = cfg.theta_samples_per_call
-    thetas = rng.uniform(mes.a, mes.b, size=n)
-    if e.basis.kind == bs.LEGENDRE:
-        if not 1 <= m <= e.m:
-            raise ValueError(f"m must be in [1, {e.m}]")
-        B = e.basis.eval_matrix(thetas, e.m)
-        x = B @ e.coefficients
-    else:
-        B = None
-        x = bs.synthesize(e, thetas)
-    noise = cfg.noise.draw(rng, (n, e.q))
-    g = np.asarray(p.subgradient(x, thetas, noise), dtype=float)
-
-    if B is not None:
-        return B[:, :m].T @ g / n
-    if m != e.m:
+    if e.basis.kind == bs.LEGENDRE and not 1 <= m <= e.m:
+        raise ValueError(f"m must be in [1, {e.m}]")
+    if e.basis.kind == bs.PIECEWISE and m != e.m:
         raise ValueError("piecewise estimation uses all cells (m == e.m)")
-    part = e.basis.partition
-    idx = bs.cell_index(part, mes, thetas)
-    acc = np.zeros((e.m, e.q))
-    np.add.at(acc, idx, g)
-    return acc / (n * bs.cell_measures(part, mes)[:, None])
+    block = ThetaBlock.draw(e, 1, cfg, rng)
+    return block.estimate(p, 0, e.coefficients, m)
 
 
 def estimate_G_V(

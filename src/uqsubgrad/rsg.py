@@ -4,7 +4,10 @@ Three nested loops:
 
 * :func:`sg_subroutine` - T projected subgradient steps at a constant step
   size, returning the average of the iterates (computed in coefficient space,
-  which equals the function-space average by linearity of synthesis).
+  which equals the function-space average by linearity of synthesis). The
+  stage draws all its thetas and noise at once and evaluates the basis on
+  them once; only the iterate changes from step to step, and the stage's
+  average is checked to be finite and feasible.
 * :func:`rsg_loop` - K stages with geometrically decaying steps
   (eta_1 = eps0 / (alpha (G^2 + V^2)), eta_{k+1} = eta_k / alpha), each stage
   warm-started from the previous stage's average.
@@ -27,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import basis as bs
-from .oracle import GVEstimate, OracleConfig, estimate_G_V, estimate_truncated_subgradient
+from .oracle import GVEstimate, OracleConfig, ThetaBlock, estimate_G_V
 from .problems import (
     ProblemSpec,
     is_feasible,
@@ -155,29 +158,40 @@ def sg_subroutine(
     m: int,
     cfg: OracleConfig,
     rng: np.random.Generator,
+    *,
+    where: str = "sg_subroutine",
 ) -> bs.Expansion:
     """T projected steps u <- Pi(u - eta g'_m), returning the iterate average.
 
-    The average of feasible iterates already lies in the (convex) feasible
-    set; one final projection is applied anyway as a float-safety clamp.
+    The stage draws its T x n thetas and their noise as one
+    :class:`ThetaBlock` and evaluates the basis on them once; the steps then
+    run on plain coefficient arrays and only the average becomes an
+    Expansion. The average of feasible iterates already lies in the (convex)
+    feasible set; one final projection is applied anyway as a float-safety
+    clamp. A non-finite or infeasible average raises ValueError prefixed with
+    ``where``.
     """
     if eta <= 0 or T < 1:
         raise ValueError("need eta > 0 and T >= 1")
     if m != start.m:
         raise ValueError("sg_subroutine runs at the expansion's own level m")
-    fam = start.basis
     proj = p.projection
+    block = ThetaBlock.draw(start, T, cfg, rng)
     anchor = project_coefficients(np.array(start.coefficients, copy=True), proj)
     u = anchor
     # averaging anchored at the start point: exact fixed point when the
     # subgradient estimates vanish, and no cancellation near convergence
     acc = np.zeros_like(anchor)
-    for _ in range(T):
-        g_hat = estimate_truncated_subgradient(p, bs.Expansion(u, fam), m, cfg, rng)
-        u = project_coefficients(u - eta * g_hat, proj)
+    for t in range(T):
+        u = project_coefficients(u - eta * block.estimate(p, t, u, m), proj)
         acc += u - anchor
     avg = project_coefficients(anchor + acc / T, proj)
-    return bs.Expansion(avg, fam)
+    if not np.all(np.isfinite(avg)):
+        raise ValueError(f"{where}: the stage average has non-finite coefficients")
+    e = bs.Expansion(avg, start.basis)
+    if not is_feasible(e, proj):
+        raise ValueError(f"{where}: the stage average is infeasible")
+    return e
 
 
 def grow_expansion(
@@ -246,7 +260,9 @@ def rsg_loop(
     for k in range(1, K + 1):
         e = grow_expansion(e, m_schedule[k - 1], rng)
         tic = time.perf_counter()
-        e = sg_subroutine(p, e, eta, t, e.m, cfg, rng)
+        e = sg_subroutine(
+            p, e, eta, t, e.m, cfg, rng, where=f"outer loop {outer_i}, stage {k}"
+        )
         elapsed_ms = (time.perf_counter() - tic) * 1e3
         if trace is not None:
             err = float("nan") if error_fn is None else error_fn(e)
@@ -336,7 +352,6 @@ def restarted_outer(
             ):
                 break
             prev_err = err
-    assert is_feasible(e, p.projection), "solver returned an infeasible point"
     return e, trace
 
 

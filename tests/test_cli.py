@@ -61,6 +61,29 @@ def test_config_errors_name_the_field(tmp_path):
         cli.load_config(p4)
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("rsg", "theta_samples", "0"),
+        ("rsg", "noise_sigma", "-1"),
+        ("rsg", "noise_sigma", "nan"),
+        ("rsg", "initial_step", "0"),
+        ("rsg", "initial_step", "-1"),
+        ("stats", "samples", "0"),
+        ("stats", "round_eps", "0"),
+        ("stats", "round_eps", "1.5"),
+    ],
+)
+def test_bad_field_exits_2_before_solving(tmp_path, capsys, section, key, value):
+    cfg = small_quadratic_cfg(tmp_path, **{section: {key: value}})
+    with pytest.raises(cli.ConfigError, match=f"{section}.{key}"):
+        cli.load_config(cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_m_schedule_grammar():
     f = cli._parse_m_schedule("constant:7")
     assert [f(1), f(50)] == [7, 7]

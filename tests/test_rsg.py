@@ -102,6 +102,58 @@ def test_sg_single_step_degenerate_average(unit_measure):
     assert np.allclose(out.coefficients[0], -0.1 * c, atol=1e-12)
 
 
+def reference_sg_subroutine(p, start, eta, T, m, cfg, rng):
+    """The per-step form of the subroutine: one oracle call per step on the
+    shared rng, averaged around the projected start point."""
+    proj = p.projection
+    anchor = uq.problems.project_coefficients(start.coefficients.copy(), proj)
+    u = anchor
+    acc = np.zeros_like(anchor)
+    for _ in range(T):
+        g_hat = uq.estimate_truncated_subgradient(p, bs.Expansion(u, start.basis), m, cfg, rng)
+        u = uq.problems.project_coefficients(u - eta * g_hat, proj)
+        acc += u - anchor
+    return uq.problems.project_coefficients(anchor + acc / T, proj)
+
+
+@pytest.mark.parametrize("T", [1, 7])
+def test_sg_stage_block_matches_per_step_oracle_legendre(T, quad_problem, quad_measure):
+    fam = uq.legendre_family(quad_measure)
+    start = bs.Expansion(np.random.default_rng(41).standard_normal((6, 2)) * 0.4, fam)
+    cfg = uq.OracleConfig(16)
+    out = uq.sg_subroutine(quad_problem, start, 0.02, T, 6, cfg, np.random.default_rng(42))
+    ref = reference_sg_subroutine(quad_problem, start, 0.02, T, 6, cfg, np.random.default_rng(42))
+    assert np.array_equal(out.coefficients, ref)
+
+
+@pytest.mark.parametrize("T", [1, 7])
+def test_sg_stage_block_matches_per_step_oracle_piecewise(T, cut_problem, cut_measure):
+    fam = uq.piecewise_family(cut_measure, uq.Partition((0.7, 1.9, 3.1)))
+    start = bs.Expansion(np.random.default_rng(43).random((4, 2)), fam)
+    cfg = uq.OracleConfig(16)
+    out = uq.sg_subroutine(cut_problem, start, 0.3, T, 4, cfg, np.random.default_rng(44))
+    ref = reference_sg_subroutine(cut_problem, start, 0.3, T, 4, cfg, np.random.default_rng(44))
+    assert np.array_equal(out.coefficients, ref)
+
+
+def test_non_finite_stage_names_outer_loop_and_stage(quad_measure):
+    p = uq.ProblemSpec(
+        dimension=2,
+        objective=lambda x, t: np.zeros(np.shape(t)),
+        subgradient=lambda x, t, noise=None: np.full(np.shape(x), np.inf),
+        projection=uq.no_projection(),
+        lipschitz=1.0,
+    )
+    fam = uq.legendre_family(quad_measure)
+    cfg = uq.RsgConfig(
+        eps0=1.0, eps_target=0.01, alpha=2.0, t=3, k_stages=2, outer_loops=2,
+        m_schedule=lambda j: 3, oracle=uq.OracleConfig(4), seed=0, initial_step=0.1,
+    )
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="outer loop 1, stage 1: .*non-finite"):
+            uq.restarted_outer(p, cfg, fam)
+
+
 def test_constant_step_bound_1d(unit_measure):
     p, noise = scalar_quadratic_problem(target=1.0, sigma=0.5, box=2.0)
     fam = uq.piecewise_family(unit_measure)
