@@ -142,11 +142,6 @@ class BasisFamily:
         V = np.polynomial.legendre.legvander(x, m - 1)
         return V / self._legendre_norms(m)
 
-    @property
-    def n_functions(self) -> Optional[int]:
-        """Size of the family when finite (piecewise); None for Legendre."""
-        return self.partition.n_cells if self.kind == PIECEWISE else None
-
 
 def legendre_family(measure: ThetaMeasure) -> BasisFamily:
     return BasisFamily(LEGENDRE, measure)
@@ -210,11 +205,6 @@ def synthesize(e: Expansion, theta: Union[float, np.ndarray]) -> np.ndarray:
         idx = cell_index(e.basis.partition, e.basis.measure, t)
         vals = e.coefficients[idx]
     return vals[0] if scalar else vals
-
-
-def as_field(e: Expansion) -> ScalarField:
-    """The expansion as a plain evaluable field."""
-    return lambda theta: synthesize(e, theta)
 
 
 def analyze(f: ScalarField, b: BasisFamily, m: int) -> Expansion:
@@ -343,9 +333,22 @@ def expansion_from_text(text: str) -> Expansion:
         fields[key.strip()] = val.strip()
         body_at += 1
 
+    missing = {"kind", "support", "quadrature_nodes", "shape"} - fields.keys()
+    if missing:
+        raise ValueError(f"missing field(s) {sorted(missing)}")
+
+    def numbers(key: str, cast, count: int) -> list:
+        parts = fields[key].split()
+        try:
+            if len(parts) != count:
+                raise ValueError
+            return [cast(v) for v in parts]
+        except ValueError:
+            raise ValueError(f"{key}: need {count} value(s), got {fields[key]!r}") from None
+
     kind = fields["kind"]
-    a, b = (float(v) for v in fields["support"].split())
-    mes = ThetaMeasure(a, b, quadrature_nodes=int(fields["quadrature_nodes"]))
+    a, b = numbers("support", float, 2)
+    mes = ThetaMeasure(a, b, quadrature_nodes=numbers("quadrature_nodes", int, 1)[0])
     if kind == PIECEWISE:
         bps = tuple(float(v) for v in fields.get("breakpoints", "").split())
         fam = piecewise_family(mes, Partition(bps))
@@ -354,7 +357,7 @@ def expansion_from_text(text: str) -> Expansion:
     else:
         raise ValueError(f"unknown basis kind in file: {kind!r}")
 
-    m, q = (int(v) for v in fields["shape"].split())
+    m, q = numbers("shape", int, 2)
     rows = [[float(v) for v in ln.split()] for ln in lines[body_at : body_at + m]]
     coeffs = np.asarray(rows, dtype=float)
     if coeffs.shape != (m, q):

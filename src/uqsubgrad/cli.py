@@ -228,6 +228,22 @@ def load_config(path: Path, seed_override: Optional[int] = None,
     return cfg
 
 
+def _check_expansion(e: bs.Expansion, cfg: ExperimentConfig):
+    """ConfigError unless the expansion's kind, support and q fit the config."""
+    kind = cfg.build_family().kind
+    if e.basis.kind != kind:
+        raise ConfigError(f"expansion kind: {e.basis.kind} does not match basis.kind ({kind})")
+    support = (e.basis.measure.a, e.basis.measure.b)
+    if support != (cfg.measure.a, cfg.measure.b):
+        raise ConfigError(
+            f"expansion support: {list(support)} does not match measure "
+            f"[{cfg.measure.a!r}, {cfg.measure.b!r}]"
+        )
+    q = cfg.build_problem().dimension
+    if e.q != q:
+        raise ConfigError(f"expansion q: {e.q} does not match the problem dimension {q}")
+
+
 # -- Statistics ------------------------------------------------------------------
 
 
@@ -260,7 +276,8 @@ def compute_statistics(
 ) -> StatsReport:
     """Mean/variance by deterministic quadrature of the synthesized expansion;
     quantiles from n seeded theta samples; for cut problems every sample is
-    threshold-rounded and the resulting discrete sets tallied."""
+    threshold-rounded and the resulting discrete sets tallied (per cell for a
+    piecewise expansion)."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
     if e.basis.kind == bs.PIECEWISE:
@@ -280,12 +297,20 @@ def compute_statistics(
 
     freqs = None
     if graph is not None:
+        # a piecewise expansion takes one value per cell: round each cell once
+        if e.basis.kind == bs.PIECEWISE:
+            rows = e.coefficients
+            hits = np.bincount(bs.cell_index(e.basis.partition, e.basis.measure, thetas),
+                               minlength=e.m)
+        else:
+            rows, hits = samples, np.ones(n, dtype=int)
         counts: dict[str, int] = {}
         ground = graph.ground_set
-        for row in samples:
-            members = threshold_round(row, round_eps, ground)
-            key = ",".join(g for g in ground if g in members) or "{}"
-            counts[key] = counts.get(key, 0) + 1
+        for row, hit in zip(rows, hits):
+            if hit:
+                members = threshold_round(row, round_eps, ground)
+                key = ",".join(g for g in ground if g in members) or "{}"
+                counts[key] = counts.get(key, 0) + int(hit)
         freqs = {k: c / n for k, c in sorted(counts.items())}
 
     return StatsReport(
@@ -369,7 +394,11 @@ def _cmd_stats(args) -> int:
     exp_path = Path(args.expansion)
     if not exp_path.is_file():
         raise ConfigError(f"expansion file not found: {exp_path}")
-    e = bs.expansion_from_text(exp_path.read_text())
+    try:
+        e = bs.expansion_from_text(exp_path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"expansion: {exc}") from exc
+    _check_expansion(e, cfg)
     rng = np.random.default_rng([cfg.rsg.seed, 1])
     report = compute_statistics(
         e, cfg.measure, cfg.stats_samples, cfg.stats_quantiles, rng,

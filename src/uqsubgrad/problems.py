@@ -209,36 +209,75 @@ def chain_relaxation_closed_form(x: np.ndarray, theta: np.ndarray) -> np.ndarray
     return 2.0 * np.abs(x1 - x2) + t * x1 + 3.0 * np.abs(1.0 - x2)
 
 
-def _greedy_batch(g: CutGraph, X: np.ndarray, theta: np.ndarray):
+@dataclass(frozen=True, eq=False)
+class _CutEdges:
+    """Index arrays of a cut graph's edges for the batched greedy chain.
+
+    A contribution adds sign * w_edge to one column: a ground-set node's
+    subgradient entry, or column q, the value of the empty set. Contributions
+    of an edge between two internal nodes count only when ``rank_u > rank_v``
+    holds for its pair; the others use the always-true gate 0. They are listed
+    in edge order, so each column sums in the same order as an edge loop.
+    """
+
+    q: int
+    base: np.ndarray      # (E,) edge weights base + slope * theta
+    slope: np.ndarray
+    rank_u: np.ndarray    # (P,) node pairs compared by greedy rank
+    rank_v: np.ndarray
+    column: np.ndarray    # (C,) per contribution
+    edge: np.ndarray
+    sign: np.ndarray
+    gate: np.ndarray      # 0, or 1 + the index of its pair
+
+    @classmethod
+    def of(cls, g: CutGraph) -> _CutEdges:
+        pos = {name: i for i, name in enumerate(g.ground_set)}
+        q = len(pos)
+        pairs: list[tuple[int, int]] = []
+        contrib: list[tuple[int, int, float, int]] = []
+        for e, (u, v, _, _) in enumerate(g.edges):
+            if v == g.sink:
+                contrib.append((q, e, 1.0, 0))
+                if u != g.source:
+                    contrib.append((pos[u], e, -1.0, 0))
+            elif u == g.source:
+                contrib.append((pos[v], e, 1.0, 0))
+            else:
+                # moving the later-ranked node to the sink side toggles this edge
+                pairs.append((pos[u], pos[v]))
+                contrib += [(pos[v], e, 1.0, len(pairs)), (pos[u], e, -1.0, len(pairs))]
+        c = np.array(contrib, dtype=float).reshape(-1, 4)
+        p = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        w = np.array([(base, slope) for _, _, base, slope in g.edges]).reshape(-1, 2)
+        column, edge, gate = (c[:, i].astype(np.intp) for i in (0, 1, 3))
+        return cls(q, w[:, 0], w[:, 1], p[:, 0], p[:, 1], column, edge, c[:, 2], gate)
+
+
+def _greedy_batch(edges: _CutEdges, X: np.ndarray, theta: np.ndarray):
     """Vectorized greedy chain over a batch: values and subgradients of the
     Lovasz extension of the sink-side cut function.
 
     Ranks come from a stable descending sort, so ties break by ascending
     index, matching the scalar path in :mod:`uqsubgrad.submodular`.
     """
-    ground = g.ground_set
-    pos = {name: i for i, name in enumerate(ground)}
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    t = np.broadcast_to(np.asarray(theta, dtype=float), X.shape[:-1])
-    order = np.argsort(-X, axis=-1, kind="stable")
+    t = np.broadcast_to(np.asarray(theta, dtype=float), X.shape[:-1]).reshape(-1)
+    X2 = X.reshape(-1, edges.q)
+    order = np.argsort(-X2, axis=-1, kind="stable")
     ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(X.shape[-1])[None, :], axis=-1)
+    np.put_along_axis(ranks, order, np.arange(edges.q)[None, :], axis=-1)
 
-    grad = np.zeros_like(X)
-    f_empty = np.zeros_like(t, dtype=float)
-    for u, v, base, slope in g.edges:
-        w = base + slope * t
-        if v == g.sink:
-            f_empty = f_empty + w
-            if u != g.source:
-                grad[..., pos[u]] -= w
-        elif u == g.source:
-            grad[..., pos[v]] += w
-        else:
-            # moving the later-ranked node to the sink side toggles this edge
-            mask = ranks[..., pos[u]] > ranks[..., pos[v]]
-            grad[..., pos[v]] += w * mask
-            grad[..., pos[u]] -= w * mask
+    w = edges.base + edges.slope * t[:, None]
+    toggled = np.ones((len(t), len(edges.rank_u) + 1), dtype=bool)
+    toggled[:, 1:] = ranks[:, edges.rank_u] > ranks[:, edges.rank_v]
+    acc = np.zeros((len(t), edges.q + 1))
+    rows = np.arange(len(t))[:, None]
+    np.add.at(acc, (rows, edges.column), edges.sign * (w[:, edges.edge] * toggled[:, edges.gate]))
+
+    grad = np.zeros_like(X)  # X's memory layout, which einsum's summation order may follow
+    grad[...] = acc[:, :-1].reshape(X.shape)
+    f_empty = acc[:, -1].reshape(X.shape[:-1])
     vals = f_empty + np.einsum("...q,...q->...", grad, X)
     return vals, grad
 
@@ -260,15 +299,16 @@ def mincut_problem(g: CutGraph, measure: ThetaMeasure) -> ProblemSpec:
             raise ValueError("cut function failed the submodularity spot-check")
 
     q = len(g.ground_set)
+    edges = _CutEdges.of(g)
 
     def objective(x, theta):
         squeeze = np.ndim(x) == 1
-        vals, _ = _greedy_batch(g, x, theta)
+        vals, _ = _greedy_batch(edges, x, theta)
         return vals[0] if squeeze else vals
 
     def subgradient(x, theta, noise=None):
         squeeze = np.ndim(x) == 1
-        _, grad = _greedy_batch(g, x, theta)
+        _, grad = _greedy_batch(edges, x, theta)
         out = grad[0] if squeeze else grad
         return out if noise is None else out + noise
 
@@ -276,7 +316,7 @@ def mincut_problem(g: CutGraph, measure: ThetaMeasure) -> ProblemSpec:
     worst = 0.0
     for th in (measure.a, measure.b):
         xs = probe_rng.random((256, q))
-        _, grads = _greedy_batch(g, xs, np.full(256, th))
+        _, grads = _greedy_batch(edges, xs, np.full(256, th))
         worst = max(worst, float(np.linalg.norm(grads, axis=-1).max()))
     lip = 1.25 * worst
 

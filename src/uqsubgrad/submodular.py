@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 BRUTE_FORCE_CAP = 20
+_THETA_SLACK = 1e-12  # tolerance of the theta range checks
 
 
 @dataclass(frozen=True)
@@ -60,17 +61,13 @@ class CutGraph:
         return tuple(n for n in self.nodes if n not in (self.source, self.sink))
 
 
-def edge_weights(g: CutGraph, theta: float) -> list[float]:
-    return [base + slope * theta for _, _, base, slope in g.edges]
-
-
 def cut_value(g: CutGraph, S: Iterable[str], theta: float) -> float:
     """Value of the s-t cut whose sink side is S ∪ {sink}.
 
     Sums w(theta) over directed edges leaving the source side.
     """
     lo, hi = g.theta_range
-    if not (lo - 1e-12 <= theta <= hi + 1e-12):
+    if not (lo - _THETA_SLACK <= theta <= hi + _THETA_SLACK):
         raise ValueError(f"theta={theta} outside range [{lo}, {hi}]")
     members = frozenset(S)
     unknown = members - set(g.ground_set)
@@ -209,36 +206,102 @@ def brute_force_min(spec: SetFunctionSpec, theta: float) -> DiscreteSolution:
     return DiscreteSolution(best[1], best[2])
 
 
-def min_cut_value_function(g: CutGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized theta -> min-cut value, by exhaustive enumeration.
+# Relative to scale, the table's largest |base| + |slope * theta| on the
+# range: a line is kept when it comes within _KEEP_RTOL * scale of the
+# envelope somewhere, and the search splits an interval on a drop of more than
+# _SPLIT_RTOL * scale. Float rounding moves a line's value by ~1e-16 * scale.
+_KEEP_RTOL = 1e-9
+_SPLIT_RTOL = 1e-12
+
+
+def _cut_table(g: CutGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(base, slope) of the cut of every sink-side subset, indexed by the
+    bit mask over the ground set; sums run over the edges in edge order."""
+    ground = g.ground_set
+    masks = np.arange(2 ** len(ground))
+    in_sink = {name: (masks >> i) & 1 == 1 for i, name in enumerate(ground)}
+    in_sink[g.sink] = np.ones(masks.shape, dtype=bool)
+    in_sink[g.source] = np.zeros(masks.shape, dtype=bool)
+    bases = np.zeros(masks.shape)
+    slopes = np.zeros(masks.shape)
+    for u, v, base, slope in g.edges:
+        cut = ~in_sink[u] & in_sink[v]
+        bases[cut] += base
+        slopes[cut] += slope
+    return bases, slopes
+
+
+def _envelope_breakpoints(bases, slopes, lo: float, hi: float, tol: float) -> list[float]:
+    """Breakpoints of the lower envelope of the lines on [lo, hi], by the
+    Eisner-Severance recursion: intersect the optimal lines at the two ends of
+    an interval; if some line lies lower there, split the interval at that
+    point, otherwise the intersection is a breakpoint."""
+    def argmin_at(theta):
+        return int(np.argmin(bases + slopes * theta))
+
+    found = []
+    pending = [(lo, argmin_at(lo), hi, argmin_at(hi))]
+    while pending:
+        left, a, right, b = pending.pop()
+        if slopes[a] == slopes[b]:
+            continue  # one line on the whole interval
+        x = (bases[b] - bases[a]) / (slopes[a] - slopes[b])
+        if not left < x < right:
+            continue
+        vals = bases + slopes * x
+        c = int(np.argmin(vals))
+        if vals[c] < min(vals[a], vals[b]) - tol:
+            pending += [(left, a, x, c), (x, c, right, b)]
+        else:
+            found.append(float(x))
+    return sorted(found)
+
+
+@dataclass(frozen=True, eq=False)
+class MinCutEnvelope:
+    """theta -> min-cut value on the graph's theta range.
+
+    Holds only the cut lines that can attain the minimum somewhere on the
+    range, so evaluation costs O(lines kept) instead of O(2^n), and returns
+    the same floats as the minimum over all 2^n cut lines.
+    """
+
+    bases: np.ndarray
+    slopes: np.ndarray
+    breakpoints: tuple[float, ...]
+    theta_range: tuple[float, float]
+
+    def __call__(self, theta) -> np.ndarray:
+        t = np.asarray(theta, dtype=float)
+        lo, hi = self.theta_range
+        if not np.all((lo - _THETA_SLACK <= t) & (t <= hi + _THETA_SLACK)):
+            raise ValueError(f"theta outside range [{lo}, {hi}]")
+        return np.min(self.bases + self.slopes * t[..., None], axis=-1)
+
+
+def min_cut_value_function(g: CutGraph) -> MinCutEnvelope:
+    """Vectorized theta -> min-cut value, exact on ``g.theta_range``.
 
     Every subset's cut value is affine in theta, so the optimal value is the
-    lower envelope of 2^n affine functions; the (base, slope) table is built
-    once and reused for every evaluation (the trace reference needs this at
-    many thetas).
+    lower envelope of 2^n lines. The (base, slope) table is built once, the
+    envelope's breakpoints on the range are found by recursive intersection,
+    and the table is reduced to the lines that come within a relative 1e-9 of
+    the envelope at a range end or a breakpoint. Line minus envelope is convex
+    and piecewise linear, so those points bound it everywhere on the range:
+    every line that can win the floating-point minimum is kept.
     """
-    ground = g.ground_set
-    if len(ground) > BRUTE_FORCE_CAP:
+    if len(g.ground_set) > BRUTE_FORCE_CAP:
         raise ValueError("ground set too large for brute force")
-    bases, slopes = [], []
-    for mask in range(2 ** len(ground)):
-        S = frozenset(ground[i] for i in range(len(ground)) if mask >> i & 1)
-        sink_side = S | {g.sink}
-        b = s = 0.0
-        for u, v, base, slope in g.edges:
-            if u not in sink_side and v in sink_side:
-                b += base
-                s += slope
-        bases.append(b)
-        slopes.append(s)
-    B = np.asarray(bases)
-    S = np.asarray(slopes)
-
-    def values(theta):
-        t = np.asarray(theta, dtype=float)
-        return np.min(B + S * t[..., None], axis=-1)
-
-    return values
+    bases, slopes = _cut_table(g)
+    lo, hi = g.theta_range
+    lo, hi = lo - _THETA_SLACK, hi + _THETA_SLACK
+    scale = float(np.max(np.abs(bases) + np.abs(slopes) * max(abs(lo), abs(hi))))
+    breakpoints = _envelope_breakpoints(bases, slopes, lo, hi, _SPLIT_RTOL * scale)
+    keep = np.zeros(bases.shape, dtype=bool)
+    for theta in (lo, *breakpoints, hi):
+        vals = bases + slopes * theta
+        keep |= vals <= vals.min() + _KEEP_RTOL * scale
+    return MinCutEnvelope(bases[keep], slopes[keep], tuple(breakpoints), g.theta_range)
 
 
 def verify_submodular(

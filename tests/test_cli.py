@@ -7,6 +7,8 @@ import pytest
 import uqsubgrad as uq
 from uqsubgrad import basis as bs
 from uqsubgrad import cli
+from uqsubgrad.submodular import random_cut_graph
+
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
@@ -142,6 +144,76 @@ def test_stats_subcommand_round_trip(tmp_path, capsys):
     a = json.loads((tmp_path / "r" / "stats.json").read_text())
     b = json.loads((tmp_path / "s" / "stats.json").read_text())
     assert a == b
+
+
+def _expansion_text(kind, a, b, q, m=3):
+    mes = uq.ThetaMeasure(a, b)
+    fam = uq.legendre_family(mes) if kind == "legendre" else uq.piecewise_family(
+        mes, uq.Partition(tuple(np.linspace(a, b, m + 1)[1:-1])))
+    return bs.expansion_to_text(bs.Expansion(np.full((m, q), 0.5), fam))
+
+
+_PIECEWISE_OK = _expansion_text("piecewise", 0.0, 4.0, 2)
+
+
+@pytest.mark.parametrize(
+    "config, text, field",
+    [
+        # a quadratic's expansion handed to the cut config
+        ("mincut", _expansion_text("legendre", 0.0, 2 * np.pi, 2), "expansion kind"),
+        ("mincut", _expansion_text("piecewise", 0.0, 2.0, 2), "expansion support"),
+        ("mincut", _expansion_text("piecewise", 0.0, 4.0, 3), "expansion q"),
+        ("quadratic", _expansion_text("piecewise", 0.0, 2 * np.pi, 2), "expansion kind"),
+        ("quadratic", _expansion_text("legendre", 0.0, 6.0, 2), "expansion support"),
+        ("quadratic", _expansion_text("legendre", 0.0, 2 * np.pi, 1), "expansion q"),
+        ("mincut", _PIECEWISE_OK.replace("shape: 3 2\n", ""), "shape"),
+        ("mincut", _PIECEWISE_OK.replace("shape: 3 2", "shape: 3"), "shape"),
+        ("mincut", _PIECEWISE_OK.replace("support: 0.0 4.0", "support: 0.0 x"), "support"),
+        ("mincut", _PIECEWISE_OK.replace("shape: 3 2", "shape: 4 2"), "coefficient block"),
+        ("mincut", _PIECEWISE_OK.replace("0.5 0.5\n", "0.5\n", 1), "expansion"),
+        ("mincut", "not an expansion\n", "not an expansion file"),
+    ],
+)
+def test_stats_refuses_mismatched_or_malformed_expansion(tmp_path, capsys, config, text, field):
+    cfg = DEMOS / "mincut.cfg" if config == "mincut" else small_quadratic_cfg(tmp_path)
+    exp = tmp_path / "expansion.txt"
+    exp.write_text(text)
+    out = tmp_path / "stats-out"
+    assert cli.main(["stats", str(exp), str(cfg), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stats_accepts_matching_expansion(tmp_path):
+    exp = tmp_path / "expansion.txt"
+    exp.write_text(_PIECEWISE_OK)
+    out = tmp_path / "stats-out"
+    assert cli.main(["stats", str(exp), str(DEMOS / "mincut.cfg"), "--out", str(out)]) == 0
+    assert json.loads((out / "stats.json").read_text())["cut_frequencies"] == {"{}": 1.0}
+
+
+def cut_frequencies_per_sample(e, measure, n, rng, round_eps, graph):
+    """Threshold-round every sampled row and tally the sets: the reference
+    for the per-cell tally of compute_statistics."""
+    counts = {}
+    for row in bs.synthesize(e, rng.uniform(measure.a, measure.b, size=n)):
+        members = uq.threshold_round(row, round_eps, graph.ground_set)
+        key = ",".join(g for g in graph.ground_set if g in members) or "{}"
+        counts[key] = counts.get(key, 0) + 1
+    return {k: c / n for k, c in sorted(counts.items())}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cut_frequencies_per_cell_equal_per_sample_loop(cut_measure, seed):
+    rng = np.random.default_rng(seed)
+    g = random_cut_graph(rng, 6)
+    part = uq.Partition(tuple(np.sort(rng.uniform(0.0, 4.0, size=40))))
+    e = bs.Expansion(rng.integers(0, 5, size=(41, 6)) / 4.0, uq.piecewise_family(cut_measure, part))
+    rep = cli.compute_statistics(e, cut_measure, 5000, (0.5,), np.random.default_rng(seed),
+                                 round_eps=0.3, graph=g)
+    ref = cut_frequencies_per_sample(e, cut_measure, 5000, np.random.default_rng(seed), 0.3, g)
+    assert len(ref) > 3 and rep.cut_frequencies == ref
+    assert rep.to_json() == cli.StatsReport(rep.mean, rep.variance, rep.quantiles, ref).to_json()
 
 
 def test_statistics_constant_expansion(unit_measure):

@@ -3,8 +3,8 @@ import pytest
 
 import uqsubgrad as uq
 from uqsubgrad import basis as bs
-from uqsubgrad.problems import project_coefficients
-from uqsubgrad.submodular import min_cut_value_function
+from uqsubgrad.problems import _CutEdges, _greedy_batch, project_coefficients
+from uqsubgrad.submodular import min_cut_value_function, random_cut_graph
 
 
 # -- quadratic instance ---------------------------------------------------------
@@ -103,6 +103,56 @@ def test_mincut_matches_generic_lovasz(cut_problem, demo_setfn):
     for x, th, v, g in zip(X, thetas, vals, grads):
         assert v == pytest.approx(uq.lovasz_eval(demo_setfn, x, float(th)), abs=1e-10)
         assert np.allclose(g, uq.lovasz_subgradient(demo_setfn, x, float(th)))
+
+
+def greedy_batch_edge_loop(g, X, theta):
+    """The greedy chain as one pass over the edges: the reference for the
+    edge-vectorized ``_greedy_batch``, which must match it bit for bit."""
+    pos = {name: i for i, name in enumerate(g.ground_set)}
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    t = np.broadcast_to(np.asarray(theta, dtype=float), X.shape[:-1])
+    order = np.argsort(-X, axis=-1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(X.shape[-1])[None, :], axis=-1)
+    grad = np.zeros_like(X)
+    f_empty = np.zeros_like(t, dtype=float)
+    for u, v, base, slope in g.edges:
+        w = base + slope * t
+        if v == g.sink:
+            f_empty = f_empty + w
+            if u != g.source:
+                grad[..., pos[u]] -= w
+        elif u == g.source:
+            grad[..., pos[v]] += w
+        else:
+            mask = ranks[..., pos[u]] > ranks[..., pos[v]]
+            grad[..., pos[v]] += w * mask
+            grad[..., pos[u]] -= w * mask
+    vals = f_empty + np.einsum("...q,...q->...", grad, X)
+    return vals, grad
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 16])
+def test_greedy_batch_matches_edge_loop_bitwise(n):
+    rng = np.random.default_rng(100 + n)
+    g = random_cut_graph(rng, n)
+    edges = _CutEdges.of(g)
+    # few distinct levels, so most rows carry tied coordinates
+    X = rng.integers(0, 4, size=(64, n)) / 3.0
+    X[:8] = 0.5
+    thetas = rng.uniform(*g.theta_range, size=64)
+    for x, th in ((X, thetas), (X.reshape(8, 8, n), thetas.reshape(8, 8)), (X[3], thetas[3])):
+        vals, grad = _greedy_batch(edges, x, th)
+        ref_vals, ref_grad = greedy_batch_edge_loop(g, x, th)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(grad, ref_grad)
+
+
+def test_greedy_batch_source_sink_edge_counts_in_empty_set():
+    g = uq.parse_cut_graph("source s\nsink t\ns t 1 0.5\ns 1 2 0\n1 t 3 0\n", (0.0, 4.0))
+    X = np.array([[0.0], [1.0], [0.25]])
+    vals, grad = _greedy_batch(_CutEdges.of(g), X, np.array([0.0, 2.0, 4.0]))
+    ref_vals, ref_grad = greedy_batch_edge_loop(g, X, np.array([0.0, 2.0, 4.0]))
+    assert np.array_equal(vals, ref_vals) and np.array_equal(grad, ref_grad)
 
 
 def test_mincut_closed_form_agreement_region(cut_problem):

@@ -219,6 +219,72 @@ def test_min_cut_value_function_matches_brute_force():
         assert np.allclose(fstar(thetas), expected, atol=1e-12)
 
 
+def full_table_min(graph):
+    """theta -> min over the cut lines of all 2^n sink-side sets, enumerated
+    mask by mask: the reference that the reduced envelope must match bit for
+    bit on the theta range."""
+    ground = graph.ground_set
+    bases, slopes = [], []
+    for mask in range(2 ** len(ground)):
+        sink_side = {ground[i] for i in range(len(ground)) if mask >> i & 1} | {graph.sink}
+        b = s = 0.0
+        for u, v, base, slope in graph.edges:
+            if u not in sink_side and v in sink_side:
+                b += base
+                s += slope
+        bases.append(b)
+        slopes.append(s)
+    B, S = np.asarray(bases), np.asarray(slopes)
+    return lambda theta: np.min(B + S * np.asarray(theta, dtype=float)[..., None], axis=-1)
+
+
+def envelope_probes(f, rng, size=400):
+    lo, hi = f.theta_range
+    return np.concatenate(([lo, hi], f.breakpoints, rng.uniform(lo, hi, size=size)))
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 12])
+def test_min_cut_envelope_equals_full_table_bitwise(n):
+    rng = np.random.default_rng(500 + n)
+    for theta_range in ((0.0, 4.0), (2.0, 30.0)):
+        g = random_cut_graph(rng, n, theta_range=theta_range)
+        f = min_cut_value_function(g)
+        thetas = envelope_probes(f, rng)
+        assert np.array_equal(f(thetas), full_table_min(g)(thetas))
+        assert len(f.bases) < 2**n or n == 1
+
+
+def switching_chain():
+    """s -> 1 -> 2 -> 3 -> t with cut weights theta, 1.5, 1.5 and 4 - theta:
+    the optimal cut moves from s->1 to the middle at theta = 1.5 and on to
+    3->t at theta = 2.5, and the two middle cuts tie exactly in between."""
+    return uq.CutGraph(
+        nodes=("s", "1", "2", "3", "t"), source="s", sink="t",
+        edges=(("s", "1", 0.0, 1.0), ("1", "2", 1.5, 0.0),
+               ("2", "3", 1.5, 0.0), ("3", "t", 4.0, -1.0)),
+        theta_range=(0.0, 4.0),
+    )
+
+
+def test_min_cut_envelope_two_switches_and_exact_tie():
+    g = switching_chain()
+    f = min_cut_value_function(g)
+    assert f.breakpoints == pytest.approx([1.5, 2.5], abs=1e-12)
+    # the four single-edge cuts, both tied middle cuts included
+    assert sorted(zip(f.bases, f.slopes)) == [(0.0, 1.0), (1.5, 0.0), (1.5, 0.0), (4.0, -1.0)]
+    thetas = np.concatenate((envelope_probes(f, np.random.default_rng(7)),
+                             np.linspace(0.0, 4.0, 401)))
+    assert np.array_equal(f(thetas), full_table_min(g)(thetas))
+    assert np.array_equal(f([1.0, 2.0, 3.0]), [1.0, 1.5, 1.0])
+
+
+@pytest.mark.parametrize("theta", [-0.5, 4.5, np.nan, [1.0, 4.0 + 1e-9]])
+def test_min_cut_envelope_rejects_theta_outside_range(theta):
+    f = min_cut_value_function(switching_chain())
+    with pytest.raises(ValueError, match="outside range"):
+        f(theta)
+
+
 def test_parse_cut_graph_round_trip(demo_graph):
     text = """
     # demo chain
