@@ -1,6 +1,10 @@
 """Basis families for L2(pi): orthonormal Legendre polynomials on the support,
 and piecewise-constant indicator families over an adaptively refined partition.
 
+Every fact that depends on which basis is in use lives on the family classes
+(interface on :class:`BasisFamily`); the functions below and the other modules
+call their methods and never branch on the family.
+
 Coefficient conventions
 -----------------------
 * ``legendre_orthonormal``: rows of an :class:`Expansion` are coefficients
@@ -16,15 +20,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
 from .measure import ScalarField, ThetaMeasure
-
-LEGENDRE = "legendre_orthonormal"
-PIECEWISE = "piecewise_constant"
-
 
 class PartitionRejection(ValueError):
     """Raised when a refinement point duplicates a breakpoint or hits the
@@ -93,62 +93,205 @@ def refine_partition(
 
 @dataclass(frozen=True)
 class BasisFamily:
-    """A basis of L2(pi): either orthonormal Legendre polynomials or the
-    indicator family of a partition."""
+    """A basis of L2(pi). ``kind`` is its serialized tag, ``projection`` the
+    ProjectionSpec kind its coefficients pair with. Subclasses provide
+    ``rows(m)`` (coefficient rows at level m), ``check_level`` (the
+    estimator's levels), ``design``/``apply`` (evaluation at thetas),
+    ``weighted_sum``/``sample_scale`` (the estimator's sum and divisor),
+    ``rule``, ``analyze``, ``tail_norm`` (pi-norm of rows m onward),
+    ``kept_rows`` (truncation), ``grow`` and ``reference_tail_norm``. The
+    defaults below suit any family: a header of kind, support and rule only,
+    and one row per sample to threshold-round (``cut_rows``).
+    """
 
-    kind: str
     measure: ThetaMeasure
-    partition: Optional[Partition] = None
+    kind: ClassVar[str]
+    projection: ClassVar[str]
+
+    def eval_matrix(self, theta: np.ndarray, m: int) -> np.ndarray:
+        """(n, m) matrix of the first m orthonormal polynomials at theta."""
+        # Defined on this class only: perfbench's tracer wraps
+        # BasisFamily.eval_matrix, which a subclass override would bypass.
+        return self._matrix(np.asarray(theta, float), m)
+
+    def _matrix(self, theta: np.ndarray, m: int) -> np.ndarray:
+        raise ValueError("eval_matrix is defined for the polynomial family")
+
+    def header(self) -> list[str]:
+        return []
+
+    @classmethod
+    def from_header(cls, measure: ThetaMeasure, fields: dict) -> BasisFamily:
+        return cls(measure)
+
+    def cut_rows(self, c: np.ndarray, samples: np.ndarray, thetas: np.ndarray):
+        return samples, np.ones(len(samples), dtype=int)
+
+
+@dataclass(frozen=True)
+class LegendreFamily(BasisFamily):
+    """Orthonormal shifted Legendre polynomials; level m keeps the first m."""
+
+    kind = "legendre_orthonormal"
+    projection = "l2_ball"
     _norm_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.kind not in (LEGENDRE, PIECEWISE):
-            raise ValueError(f"unknown basis kind: {self.kind!r}")
-        if self.kind == PIECEWISE and self.partition is None:
-            object.__setattr__(self, "partition", Partition())
-        if self.kind == LEGENDRE and self.partition is not None:
-            raise ValueError("a polynomial family carries no partition")
-        if self.kind == PIECEWISE:
-            bp = self.partition.breakpoints
-            if bp and (bp[0] <= self.measure.a or bp[-1] >= self.measure.b):
-                raise ValueError("breakpoints must lie strictly inside the support")
-
-    # -- Legendre evaluation ------------------------------------------------
-
-    def _legendre_norms(self, m: int) -> np.ndarray:
-        # Normalised against the measure's own quadrature rule so that the
-        # family is orthonormal under the exact inner product used everywhere.
-        if m > self.measure.quadrature_nodes // 2:
+    def _matrix(self, theta: np.ndarray, m: int) -> np.ndarray:
+        mes = self.measure
+        if m > mes.quadrature_nodes // 2:
             raise ValueError(
                 f"m={m} polynomials need more quadrature nodes "
-                f"({self.measure.quadrature_nodes} available)"
+                f"({mes.quadrature_nodes} available)"
             )
-        cached = self._norm_cache.get("norms")
-        if cached is None or cached.shape[0] < m:
-            mes = self.measure
+        norms = self._norm_cache.get("norms")
+        if norms is None or norms.shape[0] < m:
+            # Normalised against the measure's own quadrature rule so that the
+            # family is orthonormal under the exact inner product used everywhere.
             x = 2.0 * (mes.nodes - mes.a) / (mes.b - mes.a) - 1.0
             V = np.polynomial.legendre.legvander(x, m - 1)
             norms = np.sqrt(np.einsum("nm,nm,n->m", V, V, mes.weights))
             self._norm_cache["norms"] = norms
-            cached = norms
-        return cached[:m]
+        x = 2.0 * (theta - mes.a) / (mes.b - mes.a) - 1.0
+        return np.polynomial.legendre.legvander(x, m - 1) / norms[:m]
 
-    def eval_matrix(self, theta: np.ndarray, m: int) -> np.ndarray:
-        """(n, m) matrix of the first m orthonormal polynomials at theta."""
-        if self.kind != LEGENDRE:
-            raise ValueError("eval_matrix is defined for the polynomial family")
+    def rows(self, m: int) -> int:
+        return m
+
+    def check_level(self, m: int, m_e: int):
+        if not 1 <= m <= m_e:
+            raise ValueError(f"m must be in [1, {m_e}]")
+
+    def design(self, theta: np.ndarray, m: int) -> np.ndarray:
+        return self.eval_matrix(theta, m)
+
+    def apply(self, B: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return B @ c
+
+    def weighted_sum(self, B: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
+        return B[:, :m].T @ g
+
+    def sample_scale(self, n: int) -> int:
+        return n
+
+    def rule(self, nodes_per_cell: int = 8) -> tuple[np.ndarray, np.ndarray]:
+        return self.measure.nodes, self.measure.weights
+
+    def analyze(self, f: ScalarField, m: int) -> Expansion:
         mes = self.measure
-        x = 2.0 * (np.asarray(theta, float) - mes.a) / (mes.b - mes.a) - 1.0
-        V = np.polynomial.legendre.legvander(x, m - 1)
-        return V / self._legendre_norms(m)
+        vals = np.asarray(f(mes.nodes), dtype=float).reshape(len(mes.nodes), -1)
+        coeffs = np.einsum("nm,n,nq->mq", self.eval_matrix(mes.nodes, m), mes.weights, vals)
+        return Expansion(coeffs, self)
+
+    def tail_norm(self, c: np.ndarray, m: int) -> float:
+        return float(np.linalg.norm(c[m:]))
+
+    def kept_rows(self, c: np.ndarray, m: int) -> np.ndarray:
+        return c[:m]
+
+    def grow(self, e: Expansion, m: int, rng: np.random.Generator) -> Expansion:
+        """Zero-pad new coefficients: the exact embedding of the smaller span."""
+        if m < e.m:
+            raise ValueError("basis growth must be monotone")
+        pad = np.zeros((m - e.m, e.q))
+        return e if m == e.m else Expansion(np.vstack([e.coefficients, pad]), self)
+
+    def reference_tail_norm(self, f: ScalarField, m: int) -> float:
+        big = min(max(4 * m, m + 32), self.measure.quadrature_nodes // 2)
+        return self.tail_norm(analyze(f, self, big).coefficients, m)
 
 
-def legendre_family(measure: ThetaMeasure) -> BasisFamily:
-    return BasisFamily(LEGENDRE, measure)
+@dataclass(frozen=True)
+class PiecewiseFamily(BasisFamily):
+    """Indicators of the cells of ``partition``. Every level keeps all cells;
+    the family grows by refining the partition."""
+
+    kind = "piecewise_constant"
+    projection = "per_cell_box"
+    partition: Partition = Partition()
+
+    def __post_init__(self):
+        bp = self.partition.breakpoints
+        if bp and (bp[0] <= self.measure.a or bp[-1] >= self.measure.b):
+            raise ValueError("breakpoints must lie strictly inside the support")
+
+    def rows(self, m: int) -> int:
+        return self.partition.n_cells
+
+    def check_level(self, m: int, m_e: int):
+        if m != m_e:
+            raise ValueError("piecewise estimation uses all cells (m == e.m)")
+
+    def design(self, theta: np.ndarray, m: int) -> np.ndarray:
+        return cell_index(self.partition, self.measure, theta)
+
+    def apply(self, idx: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return c[idx]
+
+    def weighted_sum(self, idx: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
+        acc = np.zeros((self.partition.n_cells, g.shape[-1]))
+        np.add.at(acc, idx, g)
+        return acc
+
+    def sample_scale(self, n: int) -> np.ndarray:
+        return n * cell_measures(self.partition, self.measure)[:, None]
+
+    def rule(self, nodes_per_cell: int = 8) -> tuple[np.ndarray, np.ndarray]:
+        return self.measure.composite_rule(self.partition.breakpoints, nodes_per_cell)
+
+    def analyze(self, f: ScalarField, m: int) -> Expansion:
+        """Per-cell averages on a cell-aligned composite rule."""
+        part, mes = self.partition, self.measure
+        if m != part.n_cells:
+            raise ValueError(f"piecewise analysis needs m == n_cells ({part.n_cells})")
+        nodes, weights = self.rule(16)
+        vals = np.asarray(f(nodes), dtype=float).reshape(len(nodes), -1)
+        acc = np.zeros((part.n_cells, vals.shape[1]))
+        np.add.at(acc, cell_index(part, mes, nodes), weights[:, None] * vals)
+        return Expansion(acc / cell_measures(part, mes)[:, None], self)
+
+    def tail_norm(self, c: np.ndarray, m: int) -> float:
+        w = cell_measures(self.partition, self.measure)
+        return float(np.sqrt(np.sum(w[m:, None] * c[m:] ** 2)))
+
+    def kept_rows(self, c: np.ndarray, m: int) -> np.ndarray:
+        kept = c.copy()
+        kept[m:] = 0.0
+        return kept
+
+    def grow(self, e: Expansion, m: int, rng: np.random.Generator) -> Expansion:
+        """Sampled cell splits, copying the cell value to both halves."""
+        part, support = self.partition, (self.measure.a, self.measure.b)
+        if m < part.n_cells:
+            raise ValueError("basis growth must be monotone")
+        while part.n_cells < m:
+            try:
+                part = refine_partition(part, rng.uniform(*support), support=support)
+            except PartitionRejection:
+                continue
+        return transfer_coefficients(e, part) if part is not self.partition else e
+
+    def reference_tail_norm(self, f: ScalarField, m: int) -> float:
+        """Distance of f from its cell averages: the partition is the level."""
+        proj = analyze(f, self, self.partition.n_cells)
+        nodes, weights = self.rule(16)
+        diff = np.asarray(f(nodes), float).reshape(len(nodes), -1) - synthesize(proj, nodes)
+        return float(np.sqrt(max(np.einsum("nq,nq,n->", diff, diff, weights), 0.0)))
+
+    def header(self) -> list[str]:
+        return ["breakpoints: " + " ".join(repr(c) for c in self.partition.breakpoints)]
+
+    @classmethod
+    def from_header(cls, measure: ThetaMeasure, fields: dict) -> PiecewiseFamily:
+        bps = tuple(float(v) for v in fields.get("breakpoints", "").split())
+        return cls(measure, Partition(bps))
+
+    def cut_rows(self, c: np.ndarray, samples: np.ndarray, thetas: np.ndarray):
+        # one value per cell: round each cell once, counting its samples
+        return c, np.bincount(cell_index(self.partition, self.measure, thetas), minlength=len(c))
 
 
-def piecewise_family(measure: ThetaMeasure, partition: Partition = Partition()) -> BasisFamily:
-    return BasisFamily(PIECEWISE, measure, partition)
+legendre_family = LegendreFamily
+piecewise_family = PiecewiseFamily
 
 
 @dataclass(frozen=True)
@@ -169,11 +312,9 @@ class Expansion:
             raise ValueError("coefficients must be a (m, q) matrix with m >= 1")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        if self.basis.kind == PIECEWISE and c.shape[0] != self.basis.partition.n_cells:
-            raise ValueError(
-                f"{c.shape[0]} rows for a partition with "
-                f"{self.basis.partition.n_cells} cells"
-            )
+        rows = self.basis.rows(c.shape[0])
+        if c.shape[0] != rows:
+            raise ValueError(f"{c.shape[0]} rows for a family with {rows} rows")
 
     @property
     def m(self) -> int:
@@ -185,9 +326,7 @@ class Expansion:
 
 
 def zero_expansion(basis: BasisFamily, m: int, q: int) -> Expansion:
-    if basis.kind == PIECEWISE:
-        m = basis.partition.n_cells
-    return Expansion(np.zeros((m, q)), basis)
+    return Expansion(np.zeros((basis.rows(m), q)), basis)
 
 
 def synthesize(e: Expansion, theta: Union[float, np.ndarray]) -> np.ndarray:
@@ -199,69 +338,33 @@ def synthesize(e: Expansion, theta: Union[float, np.ndarray]) -> np.ndarray:
     t = np.atleast_1d(np.asarray(theta, dtype=float))
     if not e.basis.measure.contains(t):
         raise ValueError("theta outside the measure support")
-    if e.basis.kind == LEGENDRE:
-        vals = e.basis.eval_matrix(t, e.m) @ e.coefficients
-    else:
-        idx = cell_index(e.basis.partition, e.basis.measure, t)
-        vals = e.coefficients[idx]
+    vals = e.basis.apply(e.basis.design(t, e.m), e.coefficients)
     return vals[0] if scalar else vals
 
 
 def analyze(f: ScalarField, b: BasisFamily, m: int) -> Expansion:
-    """Project a field onto the first m basis functions.
-
-    Polynomial family: quadrature coefficients <f, B_i>. Piecewise family:
-    per-cell averages (computed with a cell-aligned composite rule), i.e. the
-    raw-value coordinates used everywhere else. Inverse of synthesize on the
-    span of the family.
-    """
+    """Project a field onto the first m basis functions, in the family's
+    coordinates. Inverse of synthesize on the span of the family."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    mes = b.measure
-    if b.kind == LEGENDRE:
-        vals = np.asarray(f(mes.nodes), dtype=float).reshape(len(mes.nodes), -1)
-        B = b.eval_matrix(mes.nodes, m)
-        coeffs = np.einsum("nm,n,nq->mq", B, mes.weights, vals)
-        return Expansion(coeffs, b)
-    part = b.partition
-    if m != part.n_cells:
-        raise ValueError(f"piecewise analysis needs m == n_cells ({part.n_cells})")
-    nodes, weights = mes.composite_rule(part.breakpoints, nodes_per_cell=16)
-    vals = np.asarray(f(nodes), dtype=float).reshape(len(nodes), -1)
-    idx = cell_index(part, mes, nodes)
-    q = vals.shape[1]
-    acc = np.zeros((part.n_cells, q))
-    np.add.at(acc, idx, weights[:, None] * vals)
-    return Expansion(acc / cell_measures(part, mes)[:, None], b)
+    return b.analyze(f, m)
 
 
 def expansion_pi_norm(e: Expansion) -> float:
     """pi-norm of the synthesized function, from coefficients (Parseval)."""
-    if e.basis.kind == LEGENDRE:
-        return float(np.linalg.norm(e.coefficients))
-    w = cell_measures(e.basis.partition, e.basis.measure)
-    return float(np.sqrt(np.sum(w[:, None] * e.coefficients**2)))
+    return e.basis.tail_norm(e.coefficients, 0)
 
 
 def truncate(e: Expansion, m_new: int) -> tuple[Expansion, float]:
     """Keep the projection onto the first m_new basis functions.
 
-    Returns the truncated expansion and the pi-norm of the dropped tail. For
-    the orthonormal family this is a row slice and the root-sum-square of the
-    dropped coefficients; for the piecewise family the later rows are zeroed
-    (the matrix keeps one row per cell) and the remainder is measure-weighted.
+    Returns the truncated expansion and the pi-norm of the dropped tail (the
+    piecewise family zeroes the later rows, keeping one row per cell).
     """
     if not 1 <= m_new <= e.m:
         raise ValueError(f"m_new must be in [1, {e.m}], got {m_new}")
-    if e.basis.kind == LEGENDRE:
-        kept = e.coefficients[:m_new]
-        rem = float(np.linalg.norm(e.coefficients[m_new:]))
-        return Expansion(kept, e.basis), rem
-    w = cell_measures(e.basis.partition, e.basis.measure)
-    kept = e.coefficients.copy()
-    kept[m_new:] = 0.0
-    rem = float(np.sqrt(np.sum(w[m_new:, None] * e.coefficients[m_new:] ** 2)))
-    return Expansion(kept, e.basis), rem
+    c = e.coefficients
+    return Expansion(e.basis.kept_rows(c, m_new), e.basis), e.basis.tail_norm(c, m_new)
 
 
 def is_finer(fine: Partition, coarse: Partition) -> bool:
@@ -274,7 +377,7 @@ def transfer_coefficients(e: Expansion, p_new: Partition) -> Expansion:
     Each new cell inherits the value of the old cell containing it, so the
     synthesized function is unchanged away from breakpoints.
     """
-    if e.basis.kind != PIECEWISE:
+    if not isinstance(e.basis, PiecewiseFamily):
         raise ValueError("coefficient transfer applies to the piecewise family")
     old = e.basis.partition
     if not is_finer(p_new, old):
@@ -299,6 +402,7 @@ def transfer_coefficients(e: Expansion, p_new: Partition) -> Expansion:
 #   <m lines of q whitespace-separated floats (repr precision)>
 
 _MAGIC = "uqsubgrad-expansion v1"
+_FAMILIES = {f.kind: f for f in (LegendreFamily, PiecewiseFamily)}
 
 
 def expansion_to_text(e: Expansion) -> str:
@@ -308,12 +412,9 @@ def expansion_to_text(e: Expansion) -> str:
         f"kind: {e.basis.kind}",
         f"support: {mes.a!r} {mes.b!r}",
         f"quadrature_nodes: {mes.quadrature_nodes}",
+        *e.basis.header(),
+        f"shape: {e.m} {e.q}",
     ]
-    if e.basis.kind == PIECEWISE:
-        lines.append(
-            "breakpoints: " + " ".join(repr(c) for c in e.basis.partition.breakpoints)
-        )
-    lines.append(f"shape: {e.m} {e.q}")
     for row in e.coefficients:
         lines.append(" ".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
@@ -346,16 +447,11 @@ def expansion_from_text(text: str) -> Expansion:
         except ValueError:
             raise ValueError(f"{key}: need {count} value(s), got {fields[key]!r}") from None
 
-    kind = fields["kind"]
     a, b = numbers("support", float, 2)
     mes = ThetaMeasure(a, b, quadrature_nodes=numbers("quadrature_nodes", int, 1)[0])
-    if kind == PIECEWISE:
-        bps = tuple(float(v) for v in fields.get("breakpoints", "").split())
-        fam = piecewise_family(mes, Partition(bps))
-    elif kind == LEGENDRE:
-        fam = legendre_family(mes)
-    else:
-        raise ValueError(f"unknown basis kind in file: {kind!r}")
+    if fields["kind"] not in _FAMILIES:
+        raise ValueError(f"unknown basis kind in file: {fields['kind']!r}")
+    fam = _FAMILIES[fields["kind"]].from_header(mes, fields)
 
     m, q = numbers("shape", int, 2)
     rows = [[float(v) for v in ln.split()] for ln in lines[body_at : body_at + m]]

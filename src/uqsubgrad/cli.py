@@ -70,6 +70,9 @@ def _parse_m_schedule(text: str) -> Callable[[int], int]:
     raise ConfigError(f"rsg.m_schedule: unknown schedule kind {kind!r}")
 
 
+FAMILIES = {"legendre": bs.legendre_family, "piecewise": bs.piecewise_family}
+
+
 @dataclass
 class ExperimentConfig:
     problem_kind: str
@@ -90,9 +93,7 @@ class ExperimentConfig:
         return mincut_problem(self.graph, self.measure)
 
     def build_family(self) -> bs.BasisFamily:
-        if self.basis_kind == "legendre":
-            return bs.legendre_family(self.measure)
-        return bs.piecewise_family(self.measure)
+        return FAMILIES[self.basis_kind](self.measure)
 
     def reference_values(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
         if self.problem_kind == "mincut":
@@ -157,7 +158,7 @@ def load_config(path: Path, seed_override: Optional[int] = None,
         raise ConfigError(f"problem.kind: unknown problem {kind!r}")
 
     basis_kind = _get(cp, "basis", "kind", str)
-    if basis_kind not in ("legendre", "piecewise"):
+    if basis_kind not in FAMILIES:
         raise ConfigError(f"basis.kind: unknown basis {basis_kind!r}")
 
     sigma = _get(cp, "rsg", "noise_sigma", float, 0.0)
@@ -280,10 +281,7 @@ def compute_statistics(
     piecewise expansion)."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    if e.basis.kind == bs.PIECEWISE:
-        nodes, weights = measure.composite_rule(e.basis.partition.breakpoints, 8)
-    else:
-        nodes, weights = measure.nodes, measure.weights
+    nodes, weights = e.basis.rule()
     vals = bs.synthesize(e, nodes)
     mean = weights @ vals
     var = weights @ vals**2 - mean**2
@@ -297,13 +295,7 @@ def compute_statistics(
 
     freqs = None
     if graph is not None:
-        # a piecewise expansion takes one value per cell: round each cell once
-        if e.basis.kind == bs.PIECEWISE:
-            rows = e.coefficients
-            hits = np.bincount(bs.cell_index(e.basis.partition, e.basis.measure, thetas),
-                               minlength=e.m)
-        else:
-            rows, hits = samples, np.ones(n, dtype=int)
+        rows, hits = e.basis.cut_rows(e.coefficients, samples, thetas)
         counts: dict[str, int] = {}
         ground = graph.ground_set
         for row, hit in zip(rows, hits):

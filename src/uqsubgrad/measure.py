@@ -34,18 +34,13 @@ class ThetaMeasure:
         integration against the measure. 128 nodes integrate polynomials up
         to degree 255 exactly, which keeps orthonormality checks of the
         polynomial basis exact to rounding.
-    kind : str
-        Only "uniform" ships; the field exists so new kinds are additive.
     """
 
     a: float
     b: float
     quadrature_nodes: int = 128
-    kind: str = "uniform"
 
     def __post_init__(self):
-        if self.kind != "uniform":
-            raise ValueError(f"unsupported measure kind: {self.kind!r}")
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
             raise ValueError(f"support must satisfy a < b, got [{self.a}, {self.b}]")
         if self.quadrature_nodes < 1:

@@ -62,11 +62,10 @@ class ThetaBlock:
     """T rows of n theta draws with everything about them that does not
     depend on the iterate.
 
-    ``design`` is the (T, n, m) matrix of the first m orthonormal polynomials
-    at each theta, or for the piecewise family the (T, n) cell index of each
-    theta. ``noise`` is the (T, n, q) noise block, or None when noise is off.
-    ``scale`` divides the basis-weighted subgradient sum: n for the
-    polynomial family, n times the cell measures for the piecewise family.
+    ``design`` (the basis at every theta) and ``scale`` (the divisor of the
+    basis-weighted subgradient sum) come from the family's ``design`` and
+    ``sample_scale``, defined per family in :mod:`.basis`. ``noise`` is the
+    (T, n, q) noise block, or None when noise is off.
     """
 
     family: bs.BasisFamily
@@ -86,24 +85,15 @@ class ThetaBlock:
         n = cfg.theta_samples_per_call
         thetas = rng.uniform(mes.a, mes.b, size=(T, n))
         noise = cfg.noise.draw(rng, (T, n, e.q))
-        if family.kind == bs.LEGENDRE:
-            return cls(family, thetas, noise, family.eval_matrix(thetas, e.m), n)
-        idx = bs.cell_index(family.partition, mes, thetas)
-        scale = n * bs.cell_measures(family.partition, mes)[:, None]
-        return cls(family, thetas, noise, idx, scale)
+        return cls(family, thetas, noise, family.design(thetas, e.m), family.sample_scale(n))
 
     def estimate(self, p: ProblemSpec, t: int, u: np.ndarray, m: int) -> np.ndarray:
         """Level-m truncated-subgradient estimate at coefficients ``u`` from
         row ``t`` of the block."""
-        B = self.design[t]
+        B, family = self.design[t], self.family
         noise = None if self.noise is None else self.noise[t]
-        if self.family.kind == bs.LEGENDRE:
-            g = np.asarray(p.subgradient(B @ u, self.thetas[t], noise), dtype=float)
-            return B[:, :m].T @ g / self.scale
-        g = np.asarray(p.subgradient(u[B], self.thetas[t], noise), dtype=float)
-        acc = np.zeros(u.shape)
-        np.add.at(acc, B, g)
-        return acc / self.scale
+        g = np.asarray(p.subgradient(family.apply(B, u), self.thetas[t], noise), dtype=float)
+        return family.weighted_sum(B, g, m) / self.scale
 
 
 def estimate_truncated_subgradient(
@@ -120,10 +110,7 @@ def estimate_truncated_subgradient(
     the basis functions. Unbiased for the quadrature coefficients under zero
     noise as the sample count grows. A one-row :class:`ThetaBlock`.
     """
-    if e.basis.kind == bs.LEGENDRE and not 1 <= m <= e.m:
-        raise ValueError(f"m must be in [1, {e.m}]")
-    if e.basis.kind == bs.PIECEWISE and m != e.m:
-        raise ValueError("piecewise estimation uses all cells (m == e.m)")
+    e.basis.check_level(m, e.m)
     block = ThetaBlock.draw(e, 1, cfg, rng)
     return block.estimate(p, 0, e.coefficients, m)
 

@@ -91,13 +91,6 @@ class ProblemSpec:
 # -- Projections ---------------------------------------------------------------
 
 
-def _check_compatible(kind: str, basis_kind: str):
-    if kind == "l2_ball" and basis_kind != bs.LEGENDRE:
-        raise ValueError("l2_ball projection needs the orthonormal family")
-    if kind == "per_cell_box" and basis_kind != bs.PIECEWISE:
-        raise ValueError("per_cell_box projection needs the piecewise family")
-
-
 def project_coefficients(u: np.ndarray, p: ProjectionSpec) -> np.ndarray:
     """Project a coefficient matrix. Idempotent; nonexpansive in Frobenius
     norm; returns the input array untouched when already feasible."""
@@ -115,10 +108,24 @@ def project_coefficients(u: np.ndarray, p: ProjectionSpec) -> np.ndarray:
 
 
 def project(e: bs.Expansion, p: ProjectionSpec) -> bs.Expansion:
-    """Project an expansion onto the feasible set described by ``p``."""
-    _check_compatible(p.kind, e.basis.kind)
+    """Project an expansion onto ``p``: none, or its family's projection."""
+    if p.kind not in ("none", e.basis.projection):
+        raise ValueError(f"{p.kind} projection does not fit the {e.basis.kind} family")
     u = project_coefficients(e.coefficients, p)
     return e if u is e.coefficients else bs.Expansion(u, e.basis)
+
+
+def random_feasible_like(
+    e: bs.Expansion, p: ProjectionSpec, rng: np.random.Generator
+) -> bs.Expansion:
+    """A random feasible expansion over e's family (a G^2/V^2 probe)."""
+    if p.kind == "per_cell_box":
+        u = rng.uniform(p.lo, p.hi, size=e.coefficients.shape)
+    else:
+        u = rng.standard_normal(e.coefficients.shape)
+    if p.kind == "l2_ball":
+        u *= p.radius / max(np.linalg.norm(u), 1e-30)
+    return bs.Expansion(project_coefficients(u, p), e.basis)
 
 
 def is_feasible(e: bs.Expansion, p: ProjectionSpec, tol: float = 1e-9) -> bool:
@@ -237,6 +244,8 @@ class _CutEdges:
         pairs: list[tuple[int, int]] = []
         contrib: list[tuple[int, int, float, int]] = []
         for e, (u, v, _, _) in enumerate(g.edges):
+            if v == g.source or u == g.sink:
+                continue  # never cut: s is always on the source side, t on the sink side
             if v == g.sink:
                 contrib.append((q, e, 1.0, 0))
                 if u != g.source:
@@ -330,21 +339,12 @@ def mincut_problem(g: CutGraph, measure: ThetaMeasure) -> ProblemSpec:
     )
 
 
-# -- Quadrature evaluation helpers ------------------------------------------------
-
-
-def _eval_rule(e: bs.Expansion, nodes_per_cell: int = 8):
-    """Quadrature rule adapted to the expansion: the measure's own rule for
-    polynomial expansions, a cell-aligned composite rule for piecewise ones."""
-    mes = e.basis.measure
-    if e.basis.kind == bs.PIECEWISE:
-        return mes.composite_rule(e.basis.partition.breakpoints, nodes_per_cell)
-    return mes.nodes, mes.weights
+# -- Objective integrals -------------------------------------------------------
 
 
 def expected_objective(p: ProblemSpec, e: bs.Expansion) -> float:
     """E_pi f(x(theta), theta) for the synthesized expansion."""
-    nodes, weights = _eval_rule(e)
+    nodes, weights = e.basis.rule()
     vals = p.objective(bs.synthesize(e, nodes), nodes)
     return float(np.dot(weights, vals))
 
@@ -359,6 +359,6 @@ def objective_gap_norm(
     ``reference_values`` maps theta arrays to reference objective values
     (e.g. the optimal value function).
     """
-    nodes, weights = _eval_rule(e)
+    nodes, weights = e.basis.rule()
     gap = p.objective(bs.synthesize(e, nodes), nodes) - reference_values(nodes)
     return float(np.sqrt(max(np.dot(weights, gap**2), 0.0)))

@@ -37,6 +37,7 @@ from .problems import (
     objective_gap_norm,
     project,
     project_coefficients,
+    random_feasible_like,
 )
 
 TRACE_COLUMNS = (
@@ -197,32 +198,8 @@ def sg_subroutine(
 def grow_expansion(
     e: bs.Expansion, target_m: int, rng: np.random.Generator
 ) -> bs.Expansion:
-    """Raise the basis size to ``target_m`` without changing the function.
-
-    Polynomial family: zero-pad new coefficients (the exact embedding of the
-    smaller span). Piecewise family: repeat sampled cell splits, with the cell
-    value copied to both halves; rejected split points are resampled.
-    """
-    if e.basis.kind == bs.LEGENDRE:
-        if target_m < e.m:
-            raise ValueError("basis growth must be monotone")
-        if target_m == e.m:
-            return e
-        pad = np.zeros((target_m - e.m, e.q))
-        return bs.Expansion(np.vstack([e.coefficients, pad]), e.basis)
-
-    part = e.basis.partition
-    if target_m < part.n_cells:
-        raise ValueError("basis growth must be monotone")
-    mes = e.basis.measure
-    while part.n_cells < target_m:
-        try:
-            part = bs.refine_partition(
-                part, rng.uniform(mes.a, mes.b), support=(mes.a, mes.b)
-            )
-        except bs.PartitionRejection:
-            continue
-    return bs.transfer_coefficients(e, part) if part is not e.basis.partition else e
+    """Raise the basis size to ``target_m`` without changing the function."""
+    return e.basis.grow(e, target_m, rng)
 
 
 def rsg_loop(
@@ -284,20 +261,6 @@ def rsg_loop(
     return e
 
 
-def _random_feasible_like(
-    e: bs.Expansion, p: ProblemSpec, rng: np.random.Generator
-) -> bs.Expansion:
-    shape = e.coefficients.shape
-    if p.projection.kind == "per_cell_box":
-        u = rng.uniform(p.projection.lo, p.projection.hi, size=shape)
-    elif p.projection.kind == "l2_ball":
-        u = rng.standard_normal(shape)
-        u *= p.projection.radius / max(np.linalg.norm(u), 1e-30)
-    else:
-        u = rng.standard_normal(shape)
-    return bs.Expansion(project_coefficients(u, p.projection), e.basis)
-
-
 def restarted_outer(
     p: ProblemSpec,
     cfg: RsgConfig,
@@ -321,7 +284,7 @@ def restarted_outer(
 
     gv = None
     if cfg.initial_step is None:
-        probes = [start] + [_random_feasible_like(start, p, rng) for _ in range(2)]
+        probes = [start] + [random_feasible_like(start, p.projection, rng) for _ in range(2)]
         gv = estimate_G_V(p, probes, cfg.oracle, rng)
 
     if reference_values is None and p.reference_optimum is not None:
@@ -387,27 +350,6 @@ def derive_stage_params(
     return t, K
 
 
-def remainder_norm(
-    reference: Callable[[np.ndarray], np.ndarray],
-    family: bs.BasisFamily,
-    m: int,
-    max_level: Optional[int] = None,
-) -> float:
-    """pi-norm of the reference's tail beyond its first m basis functions."""
-    mes = family.measure
-    if family.kind == bs.LEGENDRE:
-        cap = mes.quadrature_nodes // 2
-        big = min(max_level or max(4 * m, m + 32), cap)
-        coeffs = bs.analyze(reference, family, big).coefficients
-        return float(np.linalg.norm(coeffs[m:]))
-    proj = bs.analyze(reference, family, family.partition.n_cells)
-    nodes, weights = mes.composite_rule(family.partition.breakpoints, 16)
-    diff = np.asarray(reference(nodes), float).reshape(len(nodes), -1) - bs.synthesize(
-        proj, nodes
-    )
-    return float(np.sqrt(max(np.einsum("nq,nq,n->", diff, diff, weights), 0.0)))
-
-
 def measure_remainder_gap(
     p: ProblemSpec,
     e_m_opt: bs.Expansion,
@@ -422,5 +364,5 @@ def measure_remainder_gap(
     """
     ref_values = lambda th: p.objective(reference(th), th)
     lhs = objective_gap_norm(p, e_m_opt, ref_values)
-    rhs = p.lipschitz * remainder_norm(reference, e_m_opt.basis, m)
+    rhs = p.lipschitz * e_m_opt.basis.reference_tail_norm(reference, m)
     return lhs, rhs

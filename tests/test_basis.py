@@ -21,6 +21,14 @@ def test_legendre_gram_is_identity(leg, unit_measure):
     assert np.abs(gram - np.eye(32)).max() < 1e-8
 
 
+def test_eval_matrix_is_defined_once_on_the_base_class(halves):
+    # wrapping BasisFamily.eval_matrix must reach every family's calls
+    assert bs.LegendreFamily.eval_matrix is bs.BasisFamily.eval_matrix
+    assert bs.PiecewiseFamily.eval_matrix is bs.BasisFamily.eval_matrix
+    with pytest.raises(ValueError):
+        halves.eval_matrix(np.array([0.25, 0.75]), 2)
+
+
 def test_synthesize_constant(leg):
     e = uq.Expansion(np.array([[2.5]]), leg)
     for theta in (0.0, 0.3, 1.0):

@@ -132,6 +132,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert out.splitlines()[-1].count(",") == 2
 
 
+def test_run_skips_edges_that_are_never_cut(tmp_path):
+    # an edge out of the sink or into the source never crosses a cut
+    (tmp_path / "g.edges").write_text("source s\nsink t\ns 1 0 1\n1 t 3 0\nt 1 1 0\n1 s 1 0\n")
+    p = small_quadratic_cfg(
+        tmp_path, problem={"kind": "mincut:g.edges"}, measure={"b": "4.0"},
+        basis={"kind": "piecewise"}, rsg={"m_schedule": "linear:start=2,step=1,cap=6"},
+    )
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "stats.json").read_text())["cut_frequencies"]
+
+
 def test_stats_subcommand_round_trip(tmp_path, capsys):
     p = small_quadratic_cfg(tmp_path)
     assert cli.main(["run", str(p), "--out", str(tmp_path / "r")]) == 0
@@ -208,12 +219,15 @@ def test_cut_frequencies_per_cell_equal_per_sample_loop(cut_measure, seed):
     rng = np.random.default_rng(seed)
     g = random_cut_graph(rng, 6)
     part = uq.Partition(tuple(np.sort(rng.uniform(0.0, 4.0, size=40))))
-    e = bs.Expansion(rng.integers(0, 5, size=(41, 6)) / 4.0, uq.piecewise_family(cut_measure, part))
-    rep = cli.compute_statistics(e, cut_measure, 5000, (0.5,), np.random.default_rng(seed),
-                                 round_eps=0.3, graph=g)
-    ref = cut_frequencies_per_sample(e, cut_measure, 5000, np.random.default_rng(seed), 0.3, g)
-    assert len(ref) > 3 and rep.cut_frequencies == ref
-    assert rep.to_json() == cli.StatsReport(rep.mean, rep.variance, rep.quantiles, ref).to_json()
+    e_pw = bs.Expansion(rng.integers(0, 5, size=(41, 6)) / 4.0, uq.piecewise_family(cut_measure, part))
+    # a Legendre expansion is rounded once per sample
+    e_leg = bs.Expansion(rng.normal(0.5, 0.3, size=(4, 6)), uq.legendre_family(cut_measure))
+    for e in (e_pw, e_leg):
+        rep = cli.compute_statistics(e, cut_measure, 5000, (0.5,), np.random.default_rng(seed),
+                                     round_eps=0.3, graph=g)
+        ref = cut_frequencies_per_sample(e, cut_measure, 5000, np.random.default_rng(seed), 0.3, g)
+        assert len(ref) > 3 and rep.cut_frequencies == ref
+        assert rep.to_json() == cli.StatsReport(rep.mean, rep.variance, rep.quantiles, ref).to_json()
 
 
 def test_statistics_constant_expansion(unit_measure):

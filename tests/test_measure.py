@@ -79,7 +79,7 @@ def test_invalid_support_rejected():
         uq.ThetaMeasure(1.0, 1.0)
     with pytest.raises(ValueError):
         uq.ThetaMeasure(2.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the measure has no kind option
         uq.ThetaMeasure(0.0, 1.0, kind="gaussian")
 
 

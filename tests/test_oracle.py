@@ -24,6 +24,31 @@ def constant_subgradient_problem(c):
     )
 
 
+@pytest.mark.parametrize(
+    "family, m, ok",
+    [
+        ("legendre", 0, False), ("legendre", 1, True), ("legendre", 4, True),
+        ("legendre", 5, False),
+        ("piecewise", 1, False), ("piecewise", 3, False), ("piecewise", 4, True),
+        ("piecewise", 5, False),
+    ],
+)
+def test_estimator_level_check_per_family(cut_measure, family, m, ok):
+    # Legendre estimates any truncation level up to e.m; piecewise uses all cells
+    fam = uq.legendre_family(cut_measure) if family == "legendre" else uq.piecewise_family(
+        cut_measure, uq.Partition((1.0, 2.0, 3.0)))
+    e = bs.zero_expansion(fam, 4, 2)
+    estimate = lambda: uq.estimate_truncated_subgradient(
+        constant_subgradient_problem([1.0, -1.0]), e, m, uq.OracleConfig(8),
+        np.random.default_rng(0),
+    )
+    if ok:
+        assert estimate().shape == (m, 2)
+    else:
+        with pytest.raises(ValueError):
+            estimate()
+
+
 def test_constant_field_concentrates_on_constant_basis(unit_measure):
     c = np.array([2.0, -1.0])
     p = constant_subgradient_problem(c)

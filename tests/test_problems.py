@@ -148,11 +148,17 @@ def test_greedy_batch_matches_edge_loop_bitwise(n):
 
 
 def test_greedy_batch_source_sink_edge_counts_in_empty_set():
-    g = uq.parse_cut_graph("source s\nsink t\ns t 1 0.5\ns 1 2 0\n1 t 3 0\n", (0.0, 4.0))
+    text = "source s\nsink t\ns t 1 0.5\ns 1 2 0\n1 t 3 0\n"
+    g = uq.parse_cut_graph(text, (0.0, 4.0))
     X = np.array([[0.0], [1.0], [0.25]])
     vals, grad = _greedy_batch(_CutEdges.of(g), X, np.array([0.0, 2.0, 4.0]))
     ref_vals, ref_grad = greedy_batch_edge_loop(g, X, np.array([0.0, 2.0, 4.0]))
     assert np.array_equal(vals, ref_vals) and np.array_equal(grad, ref_grad)
+    # edges out of the sink or into the source are never cut and change nothing
+    for extra in ("t 1 1 0\n", "1 s 1 0\n", "t s 2 1\nt 1 1 0\n1 s 1 0\n"):
+        g_extra = uq.parse_cut_graph(text + extra, (0.0, 4.0))
+        v, gr = _greedy_batch(_CutEdges.of(g_extra), X, np.array([0.0, 2.0, 4.0]))
+        assert np.array_equal(v, vals) and np.array_equal(gr, grad)
 
 
 def test_mincut_closed_form_agreement_region(cut_problem):
