@@ -228,9 +228,10 @@ class PiecewiseFamily(BasisFamily):
         return c[idx]
 
     def weighted_sum(self, idx: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
-        acc = np.zeros((self.partition.n_cells, g.shape[-1]))
-        np.add.at(acc, idx, g)
-        return acc
+        # each (cell, component) bin sums its samples in order from +0.0
+        k, q = self.partition.n_cells, g.shape[-1]
+        bins = (idx[:, None] * q + np.arange(q)).ravel()
+        return np.bincount(bins, weights=g.ravel(), minlength=k * q).reshape(k, q)
 
     def sample_scale(self, n: int) -> np.ndarray:
         return n * cell_measures(self.partition, self.measure)[:, None]

@@ -46,12 +46,15 @@ class ConfigError(Exception):
 # -- Config parsing -------------------------------------------------------------
 
 
+_SCHEDULE_KEYS = {"linear": {"start", "step", "cap"}, "power": {"shift", "exponent", "offset"}}
+
+
 def _parse_m_schedule(text: str) -> Callable[[int], int]:
     """Schedule grammar:
 
     ``constant:M``                      m_j = M
     ``linear:start=A,step=B,cap=C``     m_j = min(A + B*(j-1), C)
-    ``power:shift=S,exponent=P,offset=O``  m_j = round((j+S)**P + O)
+    ``power:shift=S,exponent=P,offset=O``  m_j = round((j+S)**P + O), S > -1
     """
     kind, _, rest = text.partition(":")
     try:
@@ -59,11 +62,15 @@ def _parse_m_schedule(text: str) -> Callable[[int], int]:
             m = int(rest)
             return lambda j: m
         params = dict(kv.split("=") for kv in rest.split(",")) if rest else {}
+        unknown = params.keys() - _SCHEDULE_KEYS.get(kind, params.keys())
+        _require(not unknown, "rsg.m_schedule", f"unknown {kind} key(s) {sorted(unknown)}")
         if kind == "linear":
             a, b_, c = int(params["start"]), int(params["step"]), int(params["cap"])
             return lambda j: min(a + b_ * (j - 1), c)
         if kind == "power":
             s, p_, o = float(params["shift"]), float(params["exponent"]), float(params["offset"])
+            _require(np.isfinite([s, p_, o]).all() and s > -1, "rsg.m_schedule",
+                     "power needs finite values and shift > -1")
             return lambda j: int(round((j + s) ** p_ + o))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"rsg.m_schedule: cannot parse {text!r} ({exc})") from exc
@@ -71,6 +78,17 @@ def _parse_m_schedule(text: str) -> Callable[[int], int]:
 
 
 FAMILIES = {"legendre": bs.legendre_family, "piecewise": bs.piecewise_family}
+
+
+# problem kind -> (the projection kind its ProblemSpec carries, which the basis
+# family must share; the problem's constructor; the reference values the trace
+# error measures against, or None when the problem carries its own optimum)
+PROBLEMS = {
+    "quadratic": ("l2_ball", lambda c: quadratic_problem(c.mu, c.l_max, c.measure),
+                  lambda c: None),
+    "mincut": ("per_cell_box", lambda c: mincut_problem(c.graph, c.measure),
+               lambda c: min_cut_value_function(c.graph)),
+}
 
 
 @dataclass
@@ -88,17 +106,13 @@ class ExperimentConfig:
     graph: Optional[CutGraph] = None
 
     def build_problem(self) -> ProblemSpec:
-        if self.problem_kind == "quadratic":
-            return quadratic_problem(self.mu, self.l_max, self.measure)
-        return mincut_problem(self.graph, self.measure)
+        return PROBLEMS[self.problem_kind][1](self)
 
     def build_family(self) -> bs.BasisFamily:
         return FAMILIES[self.basis_kind](self.measure)
 
     def reference_values(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-        if self.problem_kind == "mincut":
-            return min_cut_value_function(self.graph)
-        return None  # quadratic: the problem carries its closed-form optimum
+        return PROBLEMS[self.problem_kind][2](self)
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=None):
@@ -143,8 +157,7 @@ def load_config(path: Path, seed_override: Optional[int] = None,
     if kind == "quadratic":
         mu = _get(cp, "problem", "mu", float, 1.0)
         l_max = _get(cp, "problem", "l", float, 50.0)
-        if not 0 < mu <= l_max:
-            raise ConfigError("problem.mu: need 0 < mu <= l")
+        _require(0 < mu <= l_max, "problem.mu", "need 0 < mu <= l")
     elif kind.startswith("mincut:"):
         edge_path = (path.parent / kind.split(":", 1)[1]).resolve()
         if not edge_path.is_file():
@@ -158,8 +171,7 @@ def load_config(path: Path, seed_override: Optional[int] = None,
         raise ConfigError(f"problem.kind: unknown problem {kind!r}")
 
     basis_kind = _get(cp, "basis", "kind", str)
-    if basis_kind not in FAMILIES:
-        raise ConfigError(f"basis.kind: unknown basis {basis_kind!r}")
+    _require(basis_kind in FAMILIES, "basis.kind", f"unknown basis {basis_kind!r}")
 
     sigma = _get(cp, "rsg", "noise_sigma", float, 0.0)
     _require(np.isfinite(sigma) and sigma >= 0, "rsg.noise_sigma", "must be finite and >= 0")
@@ -173,11 +185,12 @@ def load_config(path: Path, seed_override: Optional[int] = None,
         initial_step = _get(cp, "rsg", "initial_step", float)
         _require(np.isfinite(initial_step) and initial_step > 0, "rsg.initial_step",
                  "must be finite and > 0")
+    step_size = {key: _get(cp, "rsg", key, float) for key in ("eps0", "eps_target", "alpha")}
+    for key, value in step_size.items():
+        _require(np.isfinite(value), f"rsg.{key}", "must be finite")
     try:
         rsg = RsgConfig(
-            eps0=_get(cp, "rsg", "eps0", float),
-            eps_target=_get(cp, "rsg", "eps_target", float),
-            alpha=_get(cp, "rsg", "alpha", float),
+            **step_size,
             t=_get(cp, "rsg", "t", int),
             k_stages=_get(cp, "rsg", "k", int),
             outer_loops=_get(cp, "rsg", "outer_loops", int),
@@ -186,6 +199,8 @@ def load_config(path: Path, seed_override: Optional[int] = None,
             seed=seed,
             initial_step=initial_step,
         )
+    except ArithmeticError as exc:
+        raise ConfigError(f"rsg.m_schedule: the schedule overflows ({exc})") from exc
     except ValueError as exc:
         raise ConfigError(f"rsg: {exc}") from exc
 
@@ -194,8 +209,7 @@ def load_config(path: Path, seed_override: Optional[int] = None,
         quantiles = tuple(float(q) for q in quants.split(",") if q.strip())
     except ValueError as exc:
         raise ConfigError(f"stats.quantiles: cannot parse {quants!r}") from exc
-    if any(not 0 <= q <= 1 for q in quantiles):
-        raise ConfigError("stats.quantiles: values must lie in [0, 1]")
+    _require(all(0 <= q <= 1 for q in quantiles), "stats.quantiles", "values must lie in [0, 1]")
 
     if out_override is not None:
         out_dir = Path(out_override)  # shell-relative, as the flag suggests
@@ -222,10 +236,10 @@ def load_config(path: Path, seed_override: Optional[int] = None,
         l_max=l_max,
         graph=graph,
     )
-    if cfg.problem_kind == "mincut" and cfg.basis_kind != "piecewise":
-        raise ConfigError("basis.kind: the box-constrained cut problem needs the piecewise basis")
-    if cfg.problem_kind == "quadratic" and cfg.basis_kind != "legendre":
-        raise ConfigError("basis.kind: the ball-constrained quadratic needs the legendre basis")
+    projection = PROBLEMS[kind][0]
+    paired = [name for name, f in FAMILIES.items() if f.projection == projection]
+    _require(basis_kind in paired, "basis.kind",
+             f"the {kind} problem's {projection} projection needs the {' or '.join(paired)} basis")
     return cfg
 
 

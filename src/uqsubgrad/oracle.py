@@ -9,18 +9,18 @@ matching family uses (orthonormal coefficients for the polynomial family,
 per-cell averages for the piecewise family).
 
 Draws come in blocks: a :class:`ThetaBlock` holds T rows of n thetas, their
-noise, and the basis evaluated at all of them once (the Legendre design
-matrix, or each theta's cell index). The solver draws one block per stage
-and steps through its rows; :func:`estimate_truncated_subgradient` is the
-T = 1 case. Within a block the thetas are drawn first and the noise second.
-Reductions are plain fixed-order numpy sums, so a fixed seed reproduces the
-output bit for bit.
+noise, the basis evaluated at all of them once (the Legendre design matrix,
+or each theta's cell index) and the problem's subgradient bound to them once.
+The solver draws one block per stage and steps through its rows;
+:func:`estimate_truncated_subgradient` is the T = 1 case. Within a block the
+thetas are drawn first and the noise second. Reductions are plain fixed-order
+numpy sums, so a fixed seed reproduces the output bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,40 +59,44 @@ class GVEstimate:
 
 @dataclass(frozen=True)
 class ThetaBlock:
-    """T rows of n theta draws with everything about them that does not
-    depend on the iterate.
+    """Everything about T rows of n theta draws that does not depend on the
+    iterate.
 
     ``design`` (the basis at every theta) and ``scale`` (the divisor of the
     basis-weighted subgradient sum) come from the family's ``design`` and
     ``sample_scale``, defined per family in :mod:`.basis`. ``noise`` is the
-    (T, n, q) noise block, or None when noise is off.
+    (T, n, q) noise block, or None when noise is off. ``step(x, t, noise)``
+    is the problem's subgradient bound to the block's thetas: its ``stage``
+    hook, or ``subgradient`` at ``thetas[t]`` for a problem without one.
     """
 
     family: bs.BasisFamily
-    thetas: np.ndarray
     noise: Optional[np.ndarray]
     design: np.ndarray
     scale: Union[int, np.ndarray]
+    step: Callable[..., np.ndarray]
 
     @classmethod
     def draw(
-        cls, e: bs.Expansion, T: int, cfg: OracleConfig, rng: np.random.Generator
+        cls, p: ProblemSpec, e: bs.Expansion, T: int, cfg: OracleConfig, rng: np.random.Generator
     ) -> "ThetaBlock":
-        """Draw the thetas, then the noise, and evaluate e's basis (its first
-        e.m functions) on them once."""
+        """Draw the thetas, then the noise, evaluate e's basis (its first
+        e.m functions) on them once and bind p's subgradient to them."""
         family = e.basis
         mes = family.measure
         n = cfg.theta_samples_per_call
         thetas = rng.uniform(mes.a, mes.b, size=(T, n))
         noise = cfg.noise.draw(rng, (T, n, e.q))
-        return cls(family, thetas, noise, family.design(thetas, e.m), family.sample_scale(n))
+        plain = lambda x, t, noise=None: p.subgradient(x, thetas[t], noise)
+        step = plain if p.stage is None else p.stage(thetas)
+        return cls(family, noise, family.design(thetas, e.m), family.sample_scale(n), step)
 
-    def estimate(self, p: ProblemSpec, t: int, u: np.ndarray, m: int) -> np.ndarray:
+    def estimate(self, t: int, u: np.ndarray, m: int) -> np.ndarray:
         """Level-m truncated-subgradient estimate at coefficients ``u`` from
         row ``t`` of the block."""
         B, family = self.design[t], self.family
         noise = None if self.noise is None else self.noise[t]
-        g = np.asarray(p.subgradient(family.apply(B, u), self.thetas[t], noise), dtype=float)
+        g = np.asarray(self.step(family.apply(B, u), t, noise), dtype=float)
         return family.weighted_sum(B, g, m) / self.scale
 
 
@@ -111,8 +115,8 @@ def estimate_truncated_subgradient(
     noise as the sample count grows. A one-row :class:`ThetaBlock`.
     """
     e.basis.check_level(m, e.m)
-    block = ThetaBlock.draw(e, 1, cfg, rng)
-    return block.estimate(p, 0, e.coefficients, m)
+    block = ThetaBlock.draw(p, e, 1, cfg, rng)
+    return block.estimate(0, e.coefficients, m)
 
 
 def estimate_G_V(

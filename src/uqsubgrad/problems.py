@@ -78,6 +78,10 @@ class ProblemSpec:
     optional pre-drawn (..., q) array added to the clean subgradient.
     lipschitz bounds subgradient fields in the pi-norm over the feasible set
     (the constant consumed by the remainder bound L * ||R_m||).
+    stage(thetas), when given, binds a solver stage's (T, n) theta block once
+    and returns step(x, t, noise=None), which must equal
+    subgradient(x, thetas[t], noise) bit for bit; it lets a problem do its
+    theta-only work once per stage instead of once per step.
     """
 
     dimension: int
@@ -86,6 +90,7 @@ class ProblemSpec:
     projection: ProjectionSpec
     lipschitz: float
     reference_optimum: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    stage: Optional[Callable[[np.ndarray], Callable[..., np.ndarray]]] = None
 
 
 # -- Projections ---------------------------------------------------------------
@@ -147,7 +152,9 @@ def quadratic_reference(theta: np.ndarray) -> np.ndarray:
     t = np.asarray(theta, dtype=float)
     core = np.abs(0.8 + 0.25 * np.exp(np.sin(t)) - np.cosh(np.sin(t) ** 2))
     vals = core * (1.0 + np.sin(2.0 * t))
-    return np.stack([vals, vals], axis=-1)
+    out = np.empty(vals.shape + (2,))
+    out[...] = vals[..., None]
+    return out
 
 
 def quadratic_problem(
@@ -161,25 +168,30 @@ def quadratic_problem(
     if not 0 < mu <= L:
         raise ValueError("need 0 < mu <= L")
 
-    def branch_coeffs(dx: np.ndarray, dy: np.ndarray):
-        cx = np.where(dx >= 0, mu / 4.0, mu / 2.0)
-        cy = np.where(dy > 0, L / 2.0, L / 4.0)
-        return cx, cy
-
-    def objective(x, theta):
-        ref = quadratic_reference(theta)
+    def branches(x, ref):  # offsets from the optimum and their branch curvatures
         dx = np.asarray(x, float)[..., 0] - ref[..., 0]
         dy = np.asarray(x, float)[..., 1] - ref[..., 1]
-        cx, cy = branch_coeffs(dx, dy)
+        cx = np.where(dx >= 0, mu / 4.0, mu / 2.0)
+        cy = np.where(dy > 0, L / 2.0, L / 4.0)
+        return dx, dy, cx, cy
+
+    def gradient(x, ref, noise):
+        dx, dy, cx, cy = branches(x, ref)
+        g = np.empty(dx.shape + (2,))
+        g[..., 0] = 2.0 * cx * dx
+        g[..., 1] = 2.0 * cy * dy
+        return g if noise is None else g + noise
+
+    def objective(x, theta):
+        dx, dy, cx, cy = branches(x, quadratic_reference(theta))
         return cx * dx**2 + cy * dy**2
 
     def subgradient(x, theta, noise=None):
-        ref = quadratic_reference(theta)
-        dx = np.asarray(x, float)[..., 0] - ref[..., 0]
-        dy = np.asarray(x, float)[..., 1] - ref[..., 1]
-        cx, cy = branch_coeffs(dx, dy)
-        g = np.stack([2.0 * cx * dx, 2.0 * cy * dy], axis=-1)
-        return g if noise is None else g + noise
+        return gradient(x, quadratic_reference(theta), noise)
+
+    def stage(thetas):
+        ref = quadratic_reference(thetas)
+        return lambda x, t, noise=None: gradient(x, ref[t], noise)
 
     # pi-norm Lipschitz bound over the ball: ||g(w)||_pi <= max(mu, L) *
     # (radius + ||w*||_pi), with ||w*||_pi evaluated on the measure's rule.
@@ -199,6 +211,7 @@ def quadratic_problem(
         projection=l2_ball(radius),
         lipschitz=lip,
         reference_optimum=quadratic_reference,
+        stage=stage,
     )
 
 
@@ -262,27 +275,38 @@ class _CutEdges:
         column, edge, gate = (c[:, i].astype(np.intp) for i in (0, 1, 3))
         return cls(q, w[:, 0], w[:, 1], p[:, 0], p[:, 1], column, edge, c[:, 2], gate)
 
+    def bins(self, n: int) -> np.ndarray:
+        """Flat (row, column) accumulator index of every contribution of n rows."""
+        return (np.arange(n)[:, None] * (self.q + 1) + self.column).ravel()
+
+
+def _greedy_sums(edges: _CutEdges, X2: np.ndarray, t: np.ndarray, bins: np.ndarray):
+    """Greedy chain over rows X2 (N, q) at thetas t (N,): an (N, q + 1) array
+    of the subgradient entries, then the value of the empty set.
+
+    Ranks come from a stable descending sort, so ties break by ascending
+    index, matching the scalar path in :mod:`uqsubgrad.submodular`. Each
+    column sums its contributions in edge order, starting from +0.0.
+    """
+    n = len(t)
+    order = np.argsort(-X2, axis=-1, kind="stable")
+    ranks = np.empty_like(order)
+    ranks[np.arange(n)[:, None], order] = np.arange(edges.q)
+
+    w = edges.base + edges.slope * t[:, None]
+    toggled = np.ones((n, len(edges.rank_u) + 1), dtype=bool)
+    toggled[:, 1:] = ranks[:, edges.rank_u] > ranks[:, edges.rank_v]
+    vals = edges.sign * (w[:, edges.edge] * toggled[:, edges.gate])
+    acc = np.bincount(bins, weights=vals.ravel(), minlength=n * (edges.q + 1))
+    return acc.reshape(n, edges.q + 1)
+
 
 def _greedy_batch(edges: _CutEdges, X: np.ndarray, theta: np.ndarray):
     """Vectorized greedy chain over a batch: values and subgradients of the
-    Lovasz extension of the sink-side cut function.
-
-    Ranks come from a stable descending sort, so ties break by ascending
-    index, matching the scalar path in :mod:`uqsubgrad.submodular`.
-    """
+    Lovasz extension of the sink-side cut function."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     t = np.broadcast_to(np.asarray(theta, dtype=float), X.shape[:-1]).reshape(-1)
-    X2 = X.reshape(-1, edges.q)
-    order = np.argsort(-X2, axis=-1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(edges.q)[None, :], axis=-1)
-
-    w = edges.base + edges.slope * t[:, None]
-    toggled = np.ones((len(t), len(edges.rank_u) + 1), dtype=bool)
-    toggled[:, 1:] = ranks[:, edges.rank_u] > ranks[:, edges.rank_v]
-    acc = np.zeros((len(t), edges.q + 1))
-    rows = np.arange(len(t))[:, None]
-    np.add.at(acc, (rows, edges.column), edges.sign * (w[:, edges.edge] * toggled[:, edges.gate]))
+    acc = _greedy_sums(edges, X.reshape(-1, edges.q), t, edges.bins(len(t)))
 
     grad = np.zeros_like(X)  # X's memory layout, which einsum's summation order may follow
     grad[...] = acc[:, :-1].reshape(X.shape)
@@ -321,6 +345,15 @@ def mincut_problem(g: CutGraph, measure: ThetaMeasure) -> ProblemSpec:
         out = grad[0] if squeeze else grad
         return out if noise is None else out + noise
 
+    def stage(thetas):
+        bins = edges.bins(thetas.shape[-1])
+
+        def step(x, t, noise=None):
+            grad = _greedy_sums(edges, x, thetas[t], bins)[:, :-1]
+            return grad if noise is None else grad + noise
+
+        return step
+
     probe_rng = np.random.default_rng(1234)
     worst = 0.0
     for th in (measure.a, measure.b):
@@ -336,6 +369,7 @@ def mincut_problem(g: CutGraph, measure: ThetaMeasure) -> ProblemSpec:
         projection=per_cell_box(0.0, 1.0),
         lipschitz=lip,
         reference_optimum=None,
+        stage=stage,
     )
 
 

@@ -177,14 +177,14 @@ def sg_subroutine(
     if m != start.m:
         raise ValueError("sg_subroutine runs at the expansion's own level m")
     proj = p.projection
-    block = ThetaBlock.draw(start, T, cfg, rng)
+    block = ThetaBlock.draw(p, start, T, cfg, rng)
     anchor = project_coefficients(np.array(start.coefficients, copy=True), proj)
     u = anchor
     # averaging anchored at the start point: exact fixed point when the
     # subgradient estimates vanish, and no cancellation near convergence
     acc = np.zeros_like(anchor)
     for t in range(T):
-        u = project_coefficients(u - eta * block.estimate(p, t, u, m), proj)
+        u = project_coefficients(u - eta * block.estimate(t, u, m), proj)
         acc += u - anchor
     avg = project_coefficients(anchor + acc / T, proj)
     if not np.all(np.isfinite(avg)):

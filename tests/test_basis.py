@@ -245,3 +245,25 @@ def test_expansion_validation(unit_measure):
     fam = uq.piecewise_family(unit_measure, uq.Partition((0.5,)))
     with pytest.raises(ValueError):
         uq.Expansion(np.ones((3, 1)), fam)  # 3 rows for 2 cells
+
+
+def add_at_weighted_sum(fam, idx, g):
+    """The estimator's per-cell sum as one unbuffered np.add.at: the bitwise
+    reference for ``PiecewiseFamily.weighted_sum``."""
+    acc = np.zeros((fam.partition.n_cells, g.shape[-1]))
+    np.add.at(acc, idx, g)
+    return acc
+
+
+def test_piecewise_weighted_sum_equals_add_at_bitwise(unit_measure):
+    fam = uq.piecewise_family(unit_measure, uq.Partition((0.2, 0.5, 0.9)))
+    rng = np.random.default_rng(5)
+    thetas = rng.uniform(0.0, 0.85, size=200)  # the last cell gets no sample
+    idx = fam.design(thetas, fam.partition.n_cells)
+    g = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-8, 9, size=(200, 1))
+    g[7] = -0.0  # one sample contributes -0.0 to every component
+    g[:, 2] = -0.0  # a component whose every contribution is -0.0
+    out = fam.weighted_sum(idx, g, fam.partition.n_cells)
+    ref = add_at_weighted_sum(fam, idx, g)
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+    assert not np.signbit(out[:, 2]).any()

@@ -318,3 +318,42 @@ def test_cusp_pattern_in_quadratic_curve(tmp_path):
     ends = [errs[loops == i][-1] for i in range(1, 5)]
     assert ends[-1] < ends[0]
     assert all(b <= a * 1.05 for a, b in zip(ends, ends[1:]))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("alpha", "inf"),
+        ("alpha", "nan"),
+        ("eps0", "inf"),
+        ("eps_target", "nan"),
+        ("m_schedule", "linear:start=8,step=1,cap=32,extra=1"),
+        ("m_schedule", "power:shift=-5,exponent=0.5,offset=10"),
+        ("m_schedule", "power:shift=1,exponent=1000,offset=10"),
+    ],
+)
+def test_bad_step_or_schedule_exits_2_before_solving(tmp_path, capsys, monkeypatch, key, value):
+    def solve(*args, **kwargs):
+        raise AssertionError("the solver must not start")
+
+    monkeypatch.setattr(cli, "restarted_outer", solve)
+    cfg = small_quadratic_cfg(tmp_path, rsg={key: value})
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"rsg.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_problem_table_pairs_each_problem_with_its_projection(tmp_path):
+    for name in ("quadratic.cfg", "mincut.cfg"):
+        cfg = cli.load_config(DEMOS / name)
+        kind = cfg.build_problem().projection.kind
+        assert cli.PROBLEMS[cfg.problem_kind][0] == kind
+        assert cfg.build_family().projection == kind
+    mc = (DEMOS / "mincut.cfg").read_text().replace("kind = piecewise", "kind = legendre")
+    assert "kind = legendre" in mc
+    path = tmp_path / "mincut.cfg"
+    path.write_text(mc)
+    (tmp_path / "mincut_chain.edges").write_text((DEMOS / "mincut_chain.edges").read_text())
+    with pytest.raises(cli.ConfigError, match="basis.kind: .*piecewise"):
+        cli.load_config(path)

@@ -3,7 +3,7 @@ import pytest
 
 import uqsubgrad as uq
 from uqsubgrad import basis as bs
-from uqsubgrad.problems import _CutEdges, _greedy_batch, project_coefficients
+from uqsubgrad.problems import _CutEdges, _greedy_batch, _greedy_sums, project_coefficients
 from uqsubgrad.submodular import min_cut_value_function, random_cut_graph
 
 
@@ -298,3 +298,23 @@ def test_noise_validation():
         uq.NoiseModel("poisson")
     with pytest.raises(ValueError):
         uq.NoiseModel("additive_gaussian", -0.1)
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_greedy_core_and_stage_step_match_edge_loop_on_ties(n):
+    rng = np.random.default_rng(200 + n)
+    g = random_cut_graph(rng, n)
+    edges = _CutEdges.of(g)
+    X = rng.integers(0, 2, size=(32, n)).astype(float)  # rows with tied entries
+    X[:4] = 0.25  # every entry tied
+    X[4:8] = X[8:12]  # repeated rows
+    thetas = rng.uniform(*g.theta_range, size=(3, 32))
+    ref_vals, ref_grad = greedy_batch_edge_loop(g, X, thetas[1])
+    sums = _greedy_sums(edges, X, thetas[1], edges.bins(32))
+    assert sums.shape == (32, n + 1) and np.array_equal(sums[:, :-1], ref_grad)
+    vals, grad = _greedy_batch(edges, X, thetas[1])
+    assert np.array_equal(vals, ref_vals) and np.array_equal(grad, ref_grad)
+    step = uq.mincut_problem(g, uq.ThetaMeasure(*g.theta_range)).stage(thetas)
+    assert np.array_equal(step(X, 1), ref_grad)
+    noise = rng.standard_normal(X.shape)
+    assert np.array_equal(step(X, 1, noise), ref_grad + noise)

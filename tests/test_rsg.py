@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import uqsubgrad as uq
 from uqsubgrad import basis as bs
 from uqsubgrad.oracle import GVEstimate
 from uqsubgrad.rsg import grow_expansion
-from uqsubgrad.submodular import min_cut_value_function
+from uqsubgrad.submodular import min_cut_value_function, random_cut_graph
 
 
 def zero_subgradient_problem(q=2):
@@ -505,3 +507,27 @@ def test_overall_rate_with_growing_basis(quad_problem, quad_measure):
     finals = np.array(finals)
     se = finals.std(ddof=1) / np.sqrt(len(finals))
     assert finals.mean() <= 3 * eps + 3 * se
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+@pytest.mark.parametrize("kind", ["quadratic", "mincut"])
+def test_stage_hook_equals_plain_subgradient_bitwise(kind, sigma, quad_problem, quad_measure,
+                                                     cut_measure):
+    # a stage bound once by the problem's hook takes the same steps, bit for
+    # bit, as the per-step subgradient at thetas[t]
+    rng = np.random.default_rng(47)
+    if kind == "quadratic":
+        p = quad_problem
+        start = bs.Expansion(rng.standard_normal((6, 2)) * 0.4, uq.legendre_family(quad_measure))
+    else:
+        p = uq.mincut_problem(random_cut_graph(rng, 9), cut_measure)
+        fam = uq.piecewise_family(cut_measure, uq.Partition((0.7, 1.9, 3.1)))
+        start = bs.Expansion(rng.integers(0, 3, size=(4, 9)) / 2.0, fam)  # tied entries
+    assert p.stage is not None
+    plain = dataclasses.replace(p, stage=None)
+    noise = uq.NoiseModel("additive_gaussian", sigma) if sigma else uq.NoiseModel()
+    cfg = uq.OracleConfig(16, noise)
+    for eta in (0.02, 0.3):
+        out = uq.sg_subroutine(p, start, eta, 7, start.m, cfg, np.random.default_rng(48))
+        ref = uq.sg_subroutine(plain, start, eta, 7, start.m, cfg, np.random.default_rng(48))
+        assert np.array_equal(out.coefficients, ref.coefficients)
