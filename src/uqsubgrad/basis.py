@@ -19,6 +19,7 @@ Coefficient conventions
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Union
 
@@ -100,13 +101,15 @@ class BasisFamily:
     ``weighted_sum``/``sample_scale`` (the estimator's sum and divisor),
     ``rule``, ``analyze``, ``tail_norm`` (pi-norm of rows m onward),
     ``kept_rows`` (truncation), ``grow`` and ``reference_tail_norm``. The
-    defaults below suit any family: a header of kind, support and rule only,
-    and one row per sample to threshold-round (``cut_rows``).
+    defaults below suit any family: no largest level (``max_level``), a
+    header of kind, support and rule only, and one row per sample to
+    threshold-round (``cut_rows``).
     """
 
     measure: ThetaMeasure
     kind: ClassVar[str]
     projection: ClassVar[str]
+    max_level: ClassVar[float] = math.inf
 
     def eval_matrix(self, theta: np.ndarray, m: int) -> np.ndarray:
         """(n, m) matrix of the first m orthonormal polynomials at theta."""
@@ -136,9 +139,14 @@ class LegendreFamily(BasisFamily):
     projection = "l2_ball"
     _norm_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
+    @property
+    def max_level(self) -> int:
+        """Largest level evaluated: half the measure's quadrature nodes."""
+        return self.measure.quadrature_nodes // 2
+
     def _matrix(self, theta: np.ndarray, m: int) -> np.ndarray:
         mes = self.measure
-        if m > mes.quadrature_nodes // 2:
+        if m > self.max_level:
             raise ValueError(
                 f"m={m} polynomials need more quadrature nodes "
                 f"({mes.quadrature_nodes} available)"
@@ -152,7 +160,12 @@ class LegendreFamily(BasisFamily):
             norms = np.sqrt(np.einsum("nm,nm,n->m", V, V, mes.weights))
             self._norm_cache["norms"] = norms
         x = 2.0 * (theta - mes.a) / (mes.b - mes.a) - 1.0
-        return np.polynomial.legendre.legvander(x, m - 1) / norms[:m]
+        # in place: the same bytes as an out-of-place division, without a
+        # second array, and legvander's strided layout, which B[t] @ u's
+        # summation order follows
+        V = np.polynomial.legendre.legvander(x, m - 1)
+        V /= norms[:m]
+        return V
 
     def rows(self, m: int) -> int:
         return m
@@ -196,7 +209,7 @@ class LegendreFamily(BasisFamily):
         return e if m == e.m else Expansion(np.vstack([e.coefficients, pad]), self)
 
     def reference_tail_norm(self, f: ScalarField, m: int) -> float:
-        big = min(max(4 * m, m + 32), self.measure.quadrature_nodes // 2)
+        big = min(max(4 * m, m + 32), self.max_level)
         return self.tail_norm(analyze(f, self, big).coefficients, m)
 
 

@@ -61,9 +61,13 @@ def _parse_m_schedule(text: str) -> Callable[[int], int]:
         if kind == "constant":
             m = int(rest)
             return lambda j: m
-        params = dict(kv.split("=") for kv in rest.split(",")) if rest else {}
+        pairs = [kv.split("=") for kv in rest.split(",")] if rest else []
+        params = dict(pairs)
         unknown = params.keys() - _SCHEDULE_KEYS.get(kind, params.keys())
         _require(not unknown, "rsg.m_schedule", f"unknown {kind} key(s) {sorted(unknown)}")
+        keys = [key for key, _ in pairs]
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        _require(not repeated, "rsg.m_schedule", f"repeated {kind} key(s) {repeated}")
         if kind == "linear":
             a, b_, c = int(params["start"]), int(params["step"]), int(params["cap"])
             return lambda j: min(a + b_ * (j - 1), c)
@@ -240,6 +244,10 @@ def load_config(path: Path, seed_override: Optional[int] = None,
     paired = [name for name, f in FAMILIES.items() if f.projection == projection]
     _require(basis_kind in paired, "basis.kind",
              f"the {kind} problem's {projection} projection needs the {' or '.join(paired)} basis")
+    top = max(rsg.m_schedule(j) for j in range(1, rsg.outer_loops * rsg.k_stages + 1))
+    limit = cfg.build_family().max_level
+    _require(top <= limit, "rsg.m_schedule",
+             f"reaches m={top}, above the {basis_kind} basis's largest level {limit}")
     return cfg
 
 

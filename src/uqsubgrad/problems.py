@@ -5,6 +5,7 @@ optimum, and the min s-t cut relaxation driven by the Lovasz extension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -102,7 +103,9 @@ def project_coefficients(u: np.ndarray, p: ProjectionSpec) -> np.ndarray:
     if p.kind == "none":
         return u
     if p.kind == "l2_ball":
-        nrm = float(np.linalg.norm(u))
+        # np.linalg.norm's own arithmetic, without its dispatch
+        flat = u.ravel(order="K")
+        nrm = math.sqrt(flat.dot(flat))
         # ulp-level slack keeps repeated application an exact no-op
         return u if nrm <= p.radius * (1.0 + 4e-16) else u * (p.radius / nrm)
     lo_ok = u >= p.lo
@@ -162,29 +165,30 @@ def quadratic_problem(
 ) -> ProblemSpec:
     """Two-component piecewise quadratic with branch curvatures mu/4, mu/2 in
     the first coordinate and L/2, L/4 in the second, all centred on the same
-    closed-form optimum. Branch ties resolve to the smaller curvature.
+    closed-form optimum. At the optimum itself a coordinate's gradient is a
+    zero and its objective term vanishes, whichever curvature applies.
     Feasible set: coefficient-space L2 ball of the given radius.
     """
     if not 0 < mu <= L:
         raise ValueError("need 0 < mu <= L")
 
-    def branches(x, ref):  # offsets from the optimum and their branch curvatures
-        dx = np.asarray(x, float)[..., 0] - ref[..., 0]
-        dy = np.asarray(x, float)[..., 1] - ref[..., 1]
-        cx = np.where(dx >= 0, mu / 4.0, mu / 2.0)
-        cy = np.where(dy > 0, L / 2.0, L / 4.0)
-        return dx, dy, cx, cy
+    # curvature of each coordinate at or above its optimum, and below it
+    up = np.array([mu / 4.0, L / 2.0])
+    down = np.array([mu / 2.0, L / 4.0])
+
+    def curvature(x, ref):  # offsets from the optimum and their branch curvatures
+        d = np.asarray(x, float) - ref
+        return d, np.where(d >= 0, up, down)
 
     def gradient(x, ref, noise):
-        dx, dy, cx, cy = branches(x, ref)
-        g = np.empty(dx.shape + (2,))
-        g[..., 0] = 2.0 * cx * dx
-        g[..., 1] = 2.0 * cy * dy
+        d, c = curvature(x, ref)
+        g = (2.0 * c) * d
         return g if noise is None else g + noise
 
     def objective(x, theta):
-        dx, dy, cx, cy = branches(x, quadratic_reference(theta))
-        return cx * dx**2 + cy * dy**2
+        d, c = curvature(x, quadratic_reference(theta))
+        terms = c * d**2
+        return terms[..., 0] + terms[..., 1]
 
     def subgradient(x, theta, noise=None):
         return gradient(x, quadratic_reference(theta), noise)
@@ -233,21 +237,20 @@ def chain_relaxation_closed_form(x: np.ndarray, theta: np.ndarray) -> np.ndarray
 class _CutEdges:
     """Index arrays of a cut graph's edges for the batched greedy chain.
 
-    A contribution adds sign * w_edge to one column: a ground-set node's
-    subgradient entry, or column q, the value of the empty set. Contributions
-    of an edge between two internal nodes count only when ``rank_u > rank_v``
-    holds for its pair; the others use the always-true gate 0. They are listed
-    in edge order, so each column sums in the same order as an edge loop.
+    A contribution adds sign * w_edge = sign * base + sign * slope * theta to
+    one column: a ground-set node's subgradient entry, or column q, the value
+    of the empty set. Contributions of an edge between two internal nodes
+    count only when node u of its pair ranks after node v; the others use the
+    always-true gate 0. They are listed in edge order, so each column sums in
+    the same order as an edge loop.
     """
 
     q: int
-    base: np.ndarray      # (E,) edge weights base + slope * theta
-    slope: np.ndarray
-    rank_u: np.ndarray    # (P,) node pairs compared by greedy rank
-    rank_v: np.ndarray
+    u: np.ndarray         # (P,) node pairs compared by greedy rank
+    v: np.ndarray
     column: np.ndarray    # (C,) per contribution
-    edge: np.ndarray
-    sign: np.ndarray
+    base: np.ndarray      # sign * the edge's base weight
+    slope: np.ndarray     # sign * the edge's slope
     gate: np.ndarray      # 0, or 1 + the index of its pair
 
     @classmethod
@@ -273,7 +276,8 @@ class _CutEdges:
         p = np.array(pairs, dtype=np.intp).reshape(-1, 2)
         w = np.array([(base, slope) for _, _, base, slope in g.edges]).reshape(-1, 2)
         column, edge, gate = (c[:, i].astype(np.intp) for i in (0, 1, 3))
-        return cls(q, w[:, 0], w[:, 1], p[:, 0], p[:, 1], column, edge, c[:, 2], gate)
+        lines = c[:, 2, None] * w[edge]  # sign * (base, slope)
+        return cls(q, p[:, 0], p[:, 1], column, lines[:, 0], lines[:, 1], gate)
 
     def bins(self, n: int) -> np.ndarray:
         """Flat (row, column) accumulator index of every contribution of n rows."""
@@ -284,19 +288,18 @@ def _greedy_sums(edges: _CutEdges, X2: np.ndarray, t: np.ndarray, bins: np.ndarr
     """Greedy chain over rows X2 (N, q) at thetas t (N,): an (N, q + 1) array
     of the subgradient entries, then the value of the empty set.
 
-    Ranks come from a stable descending sort, so ties break by ascending
-    index, matching the scalar path in :mod:`uqsubgrad.submodular`. Each
-    column sums its contributions in edge order, starting from +0.0.
+    Ranks are those of a stable descending sort, so ties break by ascending
+    index, matching the scalar path in :mod:`uqsubgrad.submodular`: u ranks
+    after v exactly when x_u < x_v, or x_u == x_v and u > v. Each column sums
+    its contributions in edge order, starting from +0.0; a signed line can
+    differ from sign * w_edge only in the sign of a zero, which that sum
+    cannot see.
     """
     n = len(t)
-    order = np.argsort(-X2, axis=-1, kind="stable")
-    ranks = np.empty_like(order)
-    ranks[np.arange(n)[:, None], order] = np.arange(edges.q)
-
-    w = edges.base + edges.slope * t[:, None]
-    toggled = np.ones((n, len(edges.rank_u) + 1), dtype=bool)
-    toggled[:, 1:] = ranks[:, edges.rank_u] > ranks[:, edges.rank_v]
-    vals = edges.sign * (w[:, edges.edge] * toggled[:, edges.gate])
+    xu, xv = X2[:, edges.u], X2[:, edges.v]
+    toggled = np.ones((n, len(edges.u) + 1), dtype=bool)
+    toggled[:, 1:] = np.where(edges.u > edges.v, xu <= xv, xu < xv)
+    vals = (edges.base + edges.slope * t[:, None]) * toggled[:, edges.gate]
     acc = np.bincount(bins, weights=vals.ravel(), minlength=n * (edges.q + 1))
     return acc.reshape(n, edges.q + 1)
 

@@ -267,3 +267,43 @@ def test_piecewise_weighted_sum_equals_add_at_bitwise(unit_measure):
     ref = add_at_weighted_sum(fam, idx, g)
     assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
     assert not np.signbit(out[:, 2]).any()
+
+
+def legendre_design_out_of_place(measure, theta, m):
+    """The design as ``legvander / norms`` out of place: the reference for the
+    in-place division of ``LegendreFamily``, equal in bytes and strides."""
+    legvander = np.polynomial.legendre.legvander
+    nodes = 2.0 * (measure.nodes - measure.a) / (measure.b - measure.a) - 1.0
+    V = legvander(nodes, m - 1)
+    norms = np.sqrt(np.einsum("nm,nm,n->m", V, V, measure.weights))
+    x = 2.0 * (theta - measure.a) / (measure.b - measure.a) - 1.0
+    return legvander(x, m - 1) / norms[:m]
+
+
+@pytest.mark.parametrize("m", [1, 7, 32])
+def test_legendre_design_in_place_equals_out_of_place_bitwise(m, quad_measure):
+    rng = np.random.default_rng(60 + m)
+    thetas = rng.uniform(quad_measure.a, quad_measure.b, size=(50, 64))
+    thetas[0, :2] = quad_measure.a, quad_measure.b
+    u = rng.standard_normal((m, 2))
+    for theta in (thetas, thetas[3], quad_measure.nodes):
+        B = uq.legendre_family(quad_measure).eval_matrix(theta, m)  # fresh norm cache
+        ref = legendre_design_out_of_place(quad_measure, theta, m)
+        # a length-1 axis has no meaningful stride (m == 1)
+        layout = lambda a: [s for s, n in zip(a.strides, a.shape) if n > 1]
+        assert B.shape == ref.shape and layout(B) == layout(ref)
+        assert B.tobytes() == ref.tobytes()
+        for t in range(len(theta) if theta.ndim == 2 else 1):
+            row, ref_row = (B[t], ref[t]) if theta.ndim == 2 else (B, ref)
+            assert (row @ u).tobytes() == (ref_row @ u).tobytes()
+
+
+def test_legendre_family_states_its_largest_level(quad_measure):
+    for nodes in (128, 33):
+        mes = uq.ThetaMeasure(quad_measure.a, quad_measure.b, quadrature_nodes=nodes)
+        leg = uq.legendre_family(mes)
+        assert leg.max_level == nodes // 2
+        assert leg.eval_matrix(mes.nodes, leg.max_level).shape == (nodes, nodes // 2)
+        with pytest.raises(ValueError, match="quadrature nodes"):
+            leg.eval_matrix(mes.nodes, leg.max_level + 1)
+    assert uq.piecewise_family(quad_measure).max_level == np.inf

@@ -328,6 +328,7 @@ def test_cusp_pattern_in_quadratic_curve(tmp_path):
         ("eps0", "inf"),
         ("eps_target", "nan"),
         ("m_schedule", "linear:start=8,step=1,cap=32,extra=1"),
+        ("m_schedule", "linear:start=8,step=1,cap=32,cap=12"),
         ("m_schedule", "power:shift=-5,exponent=0.5,offset=10"),
         ("m_schedule", "power:shift=1,exponent=1000,offset=10"),
     ],
@@ -357,3 +358,43 @@ def test_problem_table_pairs_each_problem_with_its_projection(tmp_path):
     (tmp_path / "mincut_chain.edges").write_text((DEMOS / "mincut_chain.edges").read_text())
     with pytest.raises(cli.ConfigError, match="basis.kind: .*piecewise"):
         cli.load_config(path)
+
+
+@pytest.mark.parametrize(
+    "nodes, m_schedule, ok",
+    [
+        (128, "linear:start=6,step=10,cap=64", True),
+        (128, "linear:start=6,step=10,cap=65", False),
+        (33, "constant:16", True),
+        (33, "constant:17", False),
+        (128, "power:shift=0,exponent=2,offset=0", False),  # m reaches 144 at stage 12
+    ],
+)
+def test_legendre_schedule_past_the_quadrature_exits_2_before_solving(
+    tmp_path, capsys, monkeypatch, nodes, m_schedule, ok
+):
+    def solve(*args, **kwargs):
+        raise AssertionError("the solver must not start")
+
+    monkeypatch.setattr(cli, "restarted_outer", solve)
+    cfg = small_quadratic_cfg(
+        tmp_path, measure={"quadrature_nodes": str(nodes)}, rsg={"m_schedule": m_schedule}
+    )
+    if ok:
+        assert cli.load_config(cfg).build_family().max_level == nodes // 2
+        return
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"above the legendre basis's largest level {nodes // 2}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_demo_schedule_past_the_quadrature_exits_2_before_solving(tmp_path, capsys):
+    text = (DEMOS / "quadratic.cfg").read_text()
+    assert "cap=32" in text
+    cfg = tmp_path / "quadratic.cfg"
+    cfg.write_text(text.replace("cap=32", "cap=100000"))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "rsg.m_schedule: reaches m=207" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,6 +4,7 @@ import pytest
 import uqsubgrad as uq
 from uqsubgrad import basis as bs
 from uqsubgrad.problems import _CutEdges, _greedy_batch, _greedy_sums, project_coefficients
+from uqsubgrad.problems import quadratic_reference
 from uqsubgrad.submodular import min_cut_value_function, random_cut_graph
 
 
@@ -318,3 +319,102 @@ def test_greedy_core_and_stage_step_match_edge_loop_on_ties(n):
     assert np.array_equal(step(X, 1), ref_grad)
     noise = rng.standard_normal(X.shape)
     assert np.array_equal(step(X, 1, noise), ref_grad + noise)
+
+
+def quadratic_branch_formulas(mu, L, x, ref, noise=None):
+    """Gradient and objective of the quadratic from one branch test per
+    coordinate (ties: dx >= 0 and dy > 0): the reference for the problem's
+    curvature table, which tests d >= 0 in both coordinates."""
+    dx = x[..., 0] - ref[..., 0]
+    dy = x[..., 1] - ref[..., 1]
+    cx = np.where(dx >= 0, mu / 4.0, mu / 2.0)
+    cy = np.where(dy > 0, L / 2.0, L / 4.0)
+    g = np.empty(dx.shape + (2,))
+    g[..., 0] = 2.0 * cx * dx
+    g[..., 1] = 2.0 * cy * dy
+    return (g if noise is None else g + noise), cx * dx**2 + cy * dy**2
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_quadratic_curvature_table_equals_branch_formulas_at_signed_zeros(sigma, quad_measure):
+    mu, L = 1.0, 50.0
+    p = uq.quadratic_problem(mu, L, quad_measure)
+    rng = np.random.default_rng(61)
+    thetas = rng.uniform(quad_measure.a, quad_measure.b, size=(3, 16))
+    thetas[:, :6] = 0.75 * np.pi  # sin(2 theta) == -1: the optimum is +0.0
+    ref = quadratic_reference(thetas)
+    assert ref[:, :6].tobytes() == np.zeros((3, 6, 2)).tobytes()
+    x = ref + rng.standard_normal(ref.shape) * 0.1
+    x[:, 0:2] = 0.0                   # d = +0.0
+    x[:, 2:4] = -0.0                  # d = -0.0
+    x[:, 4, :] = (0.0, -0.0)
+    x[:, 5, :] = (-0.0, 0.0)
+    x[:, 6:9] = ref[:, 6:9]           # d = +0.0 away from a zero optimum
+    x[:, 9, 0] = ref[:, 9, 0]         # one coordinate on its kink
+    x[:, 10, 1] = ref[:, 10, 1]
+    noise = rng.standard_normal(ref.shape) * sigma if sigma else None
+    step = p.stage(thetas)
+    for t in range(3):
+        nz = None if noise is None else noise[t]
+        g_ref, f_ref = quadratic_branch_formulas(mu, L, x[t], ref[t], nz)
+        assert step(x[t], t, nz).tobytes() == g_ref.tobytes()
+        assert p.subgradient(x[t], thetas[t], nz).tobytes() == g_ref.tobytes()
+        assert p.objective(x[t], thetas[t]).tobytes() == f_ref.tobytes()
+    # the d = -0.0 rows really carry negative zeros in the gradient
+    assert np.signbit(quadratic_branch_formulas(mu, L, x[0], ref[0])[0][2]).all()
+
+
+def greedy_sums_argsort_ranks(edges, X2, t, bins):
+    """``_greedy_sums`` with ranks from a stable descending argsort: the
+    reference for its sort-free rank comparison."""
+    n = len(t)
+    order = np.argsort(-X2, axis=-1, kind="stable")
+    ranks = np.empty_like(order)
+    ranks[np.arange(n)[:, None], order] = np.arange(edges.q)
+    toggled = np.ones((n, len(edges.u) + 1), dtype=bool)
+    toggled[:, 1:] = ranks[:, edges.u] > ranks[:, edges.v]
+    vals = (edges.base + edges.slope * t[:, None]) * toggled[:, edges.gate]
+    acc = np.bincount(bins, weights=vals.ravel(), minlength=n * (edges.q + 1))
+    return acc.reshape(n, edges.q + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 16])
+def test_sort_free_greedy_ranks_equal_argsort_and_edge_loop_bitwise(n):
+    rng = np.random.default_rng(300 + n)
+    graphs = [random_cut_graph(rng, n)]
+    if n == 2:  # zero weights and an edge against the node order
+        text = "source s\nsink t\ns 1 0 0.5\n1 2 0 0\n2 1 0.25 0\n2 t 0 1\n1 t 1.5 0\n"
+        graphs.append(uq.parse_cut_graph(text, (0.0, 4.0)))
+    for g in graphs:
+        edges = _CutEdges.of(g)
+        bins = edges.bins(64)
+        for _ in range(20):
+            # few levels, both signed zeros among them: most rows carry ties
+            X = rng.choice([-0.0, 0.0, 0.5, 1.0], size=(64, n))
+            X[:4] = -0.0
+            X[4:8] = 0.0
+            if n > 1:
+                X[:, 0] = -0.0  # a column of -0.0 only
+            t = rng.uniform(*g.theta_range, size=64)
+            t[:4] = g.theta_range[0]
+            sums = _greedy_sums(edges, X, t, bins)
+            assert sums.tobytes() == greedy_sums_argsort_ranks(edges, X, t, bins).tobytes()
+            ref_vals, ref_grad = greedy_batch_edge_loop(g, X, t)
+            assert sums[:, :-1].tobytes() == ref_grad.tobytes()
+            vals, grad = _greedy_batch(edges, X, t)
+            assert vals.tobytes() == ref_vals.tobytes() and grad.tobytes() == ref_grad.tobytes()
+
+
+def test_ball_projection_norm_equals_linalg_norm_bitwise():
+    rng = np.random.default_rng(62)
+    blocks = [rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
+              for shape in ((1, 1), (6, 2), (32, 2), (200, 3))]
+    blocks += [np.asfortranarray(blocks[2]), blocks[3].T, blocks[3][::3]]
+    for u in blocks:
+        nrm = float(np.linalg.norm(u))
+        for radius in (0.5 * nrm, nrm, np.nextafter(nrm, 0.0), 2.0 * nrm):
+            out = project_coefficients(u, uq.l2_ball(radius))
+            if nrm <= radius * (1.0 + 4e-16):
+                assert out is u
+            else:
+                assert out.tobytes() == (u * (radius / nrm)).tobytes()
