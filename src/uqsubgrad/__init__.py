@@ -7,7 +7,7 @@ basis. Includes the min s-t cut application via the Lovasz extension, with
 rounding back to discrete cuts.
 """
 
-from .measure import ScalarField, ThetaMeasure, inner_product, pi_norm, sample_theta
+from .measure import ScalarField, ThetaMeasure, inner_product, pi_norm
 from .basis import (
     BasisFamily,
     Expansion,
@@ -45,7 +45,6 @@ from .problems import (
     NoiseModel,
     ProblemSpec,
     ProjectionSpec,
-    chain_relaxation_closed_form,
     expected_objective,
     l2_ball,
     mincut_problem,

@@ -4,7 +4,8 @@ Subcommands
 -----------
 ``uqsubgrad run <config> [--seed N] [--out DIR]``
     Run the configured experiment; writes trace.csv, expansion.txt and
-    stats.json into the output directory (atomically, temp + rename).
+    stats.json into the output directory, all three or none (temp + rename,
+    rolled back on a failure).
 ``uqsubgrad stats <expansion-file> <config> [--seed N] [--out DIR]``
     Recompute the statistics report for a saved expansion.
 ``uqsubgrad curve <trace.csv> [--out FILE]``
@@ -348,24 +349,46 @@ def error_curve(trace: RunTrace) -> str:
 # -- Execution -------------------------------------------------------------------
 
 
-def _atomic_write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
+def _write_all(files: dict[Path, str]):
+    """Write every file or none.
+
+    Each text first goes to a temp file beside its target; the temps then
+    replace the targets one by one, each earlier file or link set aside
+    first. A failure puts back what was set aside, removes the new files and
+    every temp, and re-raises; a directory in a target's place stays as it is.
+    """
+    staged: list[tuple[Path, str, Optional[str]]] = []
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
+            staged.append((path, tmp, None))
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        for i, (path, tmp, _) in enumerate(staged):
+            if os.path.islink(path) or os.path.isfile(path):
+                os.replace(path, tmp + ".old")
+                staged[i] = (path, tmp, tmp + ".old")
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for path, tmp, old in reversed(staged):
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            elif old is None:
+                os.unlink(path)  # a new file where there was none
+            if old is not None:
+                os.replace(old, path)
         raise
+    for _, _, old in staged:
+        if old is not None:
+            os.unlink(old)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     """Run the configured experiment and write trace/expansion/stats artifacts.
 
     Deterministic for a fixed seed except for the wall-clock elapsed_ms trace
-    column. Files are written atomically after the run completes.
+    column. The three files are written after the run completes, all or none.
     """
     problem = cfg.build_problem()
     family = cfg.build_family()
@@ -387,9 +410,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
         "expansion": cfg.out_dir / "expansion.txt",
         "stats": cfg.out_dir / "stats.json",
     }
-    _atomic_write(out["trace"], trace_to_csv(trace))
-    _atomic_write(out["expansion"], bs.expansion_to_text(final))
-    _atomic_write(out["stats"], report.to_json())
+    _write_all({
+        out["trace"]: trace_to_csv(trace),
+        out["expansion"]: bs.expansion_to_text(final),
+        out["stats"]: report.to_json(),
+    })
     return out
 
 
@@ -419,7 +444,7 @@ def _cmd_stats(args) -> int:
         round_eps=cfg.round_eps, graph=cfg.graph,
     )
     target = cfg.out_dir / "stats.json"
-    _atomic_write(target, report.to_json())
+    _write_all({target: report.to_json()})
     print(target)
     return 0
 
@@ -430,7 +455,7 @@ def _cmd_curve(args) -> int:
         raise ConfigError(f"trace file not found: {trace_path}")
     curve = error_curve(trace_from_csv(trace_path.read_text()))
     if args.out:
-        _atomic_write(Path(args.out), curve)
+        _write_all({Path(args.out): curve})
         print(args.out)
     else:
         sys.stdout.write(curve)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -113,12 +113,3 @@ def pi_norm(f: ScalarField, m: ThetaMeasure) -> float:
     """L2(pi) norm of a field; zero exactly for the quadrature-zero field."""
     return float(np.sqrt(max(inner_product(f, f, m), 0.0)))
 
-
-def sample_theta(
-    m: ThetaMeasure,
-    rng: np.random.Generator,
-    size: Optional[int] = None,
-) -> Union[float, np.ndarray]:
-    """Draw theta ~ pi. Reproducible: the sequence is a pure function of ``rng``."""
-    draw = rng.uniform(m.a, m.b, size=size)
-    return float(draw) if size is None else draw

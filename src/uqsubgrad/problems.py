@@ -153,7 +153,8 @@ def quadratic_reference(theta: np.ndarray) -> np.ndarray:
     """Closed-form optimum, identical in both components; its basis
     representation decays slowly because of the absolute value."""
     t = np.asarray(theta, dtype=float)
-    core = np.abs(0.8 + 0.25 * np.exp(np.sin(t)) - np.cosh(np.sin(t) ** 2))
+    s = np.sin(t)
+    core = np.abs(0.8 + 0.25 * np.exp(s) - np.cosh(s**2))
     vals = core * (1.0 + np.sin(2.0 * t))
     out = np.empty(vals.shape + (2,))
     out[...] = vals[..., None]
@@ -172,21 +173,23 @@ def quadratic_problem(
     if not 0 < mu <= L:
         raise ValueError("need 0 < mu <= L")
 
-    # curvature of each coordinate at or above its optimum, and below it
+    # curvature of each coordinate at or above its optimum, and below it; the
+    # gradient reads the doubled table, which doubling leaves exact
     up = np.array([mu / 4.0, L / 2.0])
     down = np.array([mu / 2.0, L / 4.0])
+    up2, down2 = 2.0 * up, 2.0 * down
 
-    def curvature(x, ref):  # offsets from the optimum and their branch curvatures
+    def branch(x, ref, above, below):  # offsets from the optimum and their branch's entry
         d = np.asarray(x, float) - ref
-        return d, np.where(d >= 0, up, down)
+        return d, np.where(d >= 0, above, below)
 
     def gradient(x, ref, noise):
-        d, c = curvature(x, ref)
-        g = (2.0 * c) * d
+        d, c2 = branch(x, ref, up2, down2)
+        g = c2 * d
         return g if noise is None else g + noise
 
     def objective(x, theta):
-        d, c = curvature(x, quadratic_reference(theta))
+        d, c = branch(x, quadratic_reference(theta), up, down)
         terms = c * d**2
         return terms[..., 0] + terms[..., 1]
 
@@ -220,17 +223,6 @@ def quadratic_problem(
 
 
 # -- Min-cut instance -------------------------------------------------------------
-
-
-def chain_relaxation_closed_form(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Closed-form relaxation objective for the demo chain graph:
-    2|x1 - x2| + theta*x1 + 3|1 - x2|. Kept as a regression fixture; it equals
-    the greedy extension of the chain's cut function exactly on {x1 <= x2} and
-    exceeds it by 2*max(x1 - x2, 0) elsewhere."""
-    xv = np.asarray(x, dtype=float)
-    t = np.asarray(theta, dtype=float)
-    x1, x2 = xv[..., 0], xv[..., 1]
-    return 2.0 * np.abs(x1 - x2) + t * x1 + 3.0 * np.abs(1.0 - x2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,16 +378,42 @@ def expected_objective(p: ProblemSpec, e: bs.Expansion) -> float:
     return float(np.dot(weights, vals))
 
 
+class GapNorm:
+    """pi-norm of f(x(theta), theta) - f_ref(theta) for a run's expansions.
+
+    The family's quadrature rule and the reference values on its nodes
+    depend only on the family, and the design on those nodes on the family
+    and the level. One entry keyed by (family, level) keeps them, so a call
+    at the current key costs one ``apply``, one objective and one dot
+    product; an expansion over another family or level replaces the entry.
+    ``reference_values`` maps theta arrays to reference objective values
+    (e.g. the optimal value function).
+    """
+
+    def __init__(
+        self, p: ProblemSpec, reference_values: Callable[[np.ndarray], np.ndarray]
+    ):
+        self.p = p
+        self.reference_values = reference_values
+        self._family = self._level = None
+
+    def __call__(self, e: bs.Expansion) -> float:
+        fam = e.basis
+        if fam != self._family:
+            self._nodes, self._weights = fam.rule()
+            self._ref = self.reference_values(self._nodes)
+            self._family, self._level = fam, None
+        if e.m != self._level:
+            self._design, self._level = fam.design(self._nodes, e.m), e.m
+        x = fam.apply(self._design, e.coefficients)
+        gap = self.p.objective(x, self._nodes) - self._ref
+        return float(np.sqrt(max(np.dot(self._weights, gap**2), 0.0)))
+
+
 def objective_gap_norm(
     p: ProblemSpec,
     e: bs.Expansion,
     reference_values: Callable[[np.ndarray], np.ndarray],
 ) -> float:
-    """pi-norm of f(x(theta), theta) - f_ref(theta).
-
-    ``reference_values`` maps theta arrays to reference objective values
-    (e.g. the optimal value function).
-    """
-    nodes, weights = e.basis.rule()
-    gap = p.objective(bs.synthesize(e, nodes), nodes) - reference_values(nodes)
-    return float(np.sqrt(max(np.dot(weights, gap**2), 0.0)))
+    """pi-norm of f(x(theta), theta) - f_ref(theta): :class:`GapNorm` used once."""
+    return GapNorm(p, reference_values)(e)

@@ -32,6 +32,7 @@ import numpy as np
 from . import basis as bs
 from .oracle import GVEstimate, OracleConfig, ThetaBlock, estimate_G_V
 from .problems import (
+    GapNorm,
     ProblemSpec,
     is_feasible,
     objective_gap_norm,
@@ -275,7 +276,8 @@ def restarted_outer(
     the recorded error stagnates (relative improvement below
     ``cfg.stagnation_rtol`` across one outer loop). When the problem carries a
     reference optimum and no explicit ``reference_values`` is given, the trace
-    error columns measure against the reference's objective values.
+    error columns measure against the reference's objective values. One
+    :class:`GapNorm` serves every stage of the run.
     """
     rng = np.random.default_rng(cfg.seed)
     if start is None:
@@ -292,7 +294,7 @@ def restarted_outer(
         reference_values = lambda th: p.objective(ref(th), th)
     error_fn = None
     if reference_values is not None:
-        error_fn = lambda e: objective_gap_norm(p, e, reference_values)
+        error_fn = GapNorm(p, reference_values)
 
     trace = RunTrace()
     e = start

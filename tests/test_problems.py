@@ -4,8 +4,10 @@ import pytest
 import uqsubgrad as uq
 from uqsubgrad import basis as bs
 from uqsubgrad.problems import _CutEdges, _greedy_batch, _greedy_sums, project_coefficients
-from uqsubgrad.problems import quadratic_reference
+from uqsubgrad.problems import GapNorm, objective_gap_norm, quadratic_reference
 from uqsubgrad.submodular import min_cut_value_function, random_cut_graph
+
+from oracles import chain_relaxation_closed_form, gap_norm_uncached, quadratic_reference_two_sines
 
 
 # -- quadratic instance ---------------------------------------------------------
@@ -169,7 +171,7 @@ def test_mincut_closed_form_agreement_region(cut_problem):
     X = rng.random((500, 2))
     thetas = rng.uniform(0.0, 4.0, size=500)
     greedy = cut_problem.objective(X, thetas)
-    closed = uq.chain_relaxation_closed_form(X, thetas)
+    closed = chain_relaxation_closed_form(X, thetas)
     diff = closed - greedy
     expected = 2.0 * np.maximum(X[:, 0] - X[:, 1], 0.0)
     assert np.allclose(diff, expected, atol=1e-10)
@@ -418,3 +420,60 @@ def test_ball_projection_norm_equals_linalg_norm_bitwise():
                 assert out is u
             else:
                 assert out.tobytes() == (u * (radius / nrm)).tobytes()
+
+
+def test_one_sine_quadratic_reference_equals_two_sine_formula_bytes():
+    rng = np.random.default_rng(63)
+    blocks = [
+        rng.uniform(0.0, 2.0 * np.pi, size=(50, 64)),
+        uq.ThetaMeasure(0.0, 2.0 * np.pi).nodes,
+        np.array([0.0, -0.0, 0.75 * np.pi, np.pi, 1e-300, 1e6, -3.0]),
+        np.float64(1.25),
+    ]
+    for theta in blocks:
+        new, old = quadratic_reference(theta), quadratic_reference_two_sines(theta)
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+def gap_norm_levels(fam_at, levels, q, reference_values, p, seed):
+    """(cached, uncached) gap norms of random expansions over the families
+    ``fam_at(j)`` at ``levels[j]``, fed in order to one GapNorm."""
+    rng = np.random.default_rng(seed)
+    cached = GapNorm(p, reference_values)
+    out = []
+    for j, m in enumerate(levels):
+        fam = fam_at(j)
+        u = project_coefficients(rng.standard_normal((fam.rows(m), q)), p.projection)
+        e = bs.Expansion(u, fam)
+        out.append((cached(e), gap_norm_uncached(p, e, reference_values)))
+    return out
+
+
+def test_gap_norm_cache_equals_uncached_along_legendre_growth(quad_problem, quad_measure):
+    ref = lambda th: quad_problem.objective(uq.quadratic_reference(th), th)
+    fam = uq.legendre_family(quad_measure)
+    # growing 8 -> 12, then flat, then a family on another rule at the same level
+    other = uq.legendre_family(uq.ThetaMeasure(0.0, 2.0 * np.pi, quadrature_nodes=96))
+    levels = [8, 9, 10, 11, 12, 12, 12, 12, 12]
+    fam_at = lambda j: other if j == 7 else fam
+    for cached, oracle in gap_norm_levels(fam_at, levels, 2, ref, quad_problem, 64):
+        assert cached == oracle
+    e = bs.Expansion(np.ones((3, 2)), fam)
+    assert objective_gap_norm(quad_problem, e, ref) == gap_norm_uncached(quad_problem, e, ref)
+
+
+def test_gap_norm_cache_equals_uncached_along_piecewise_refinement(cut_measure):
+    g = random_cut_graph(np.random.default_rng(65), 6, theta_range=(0.0, 4.0))
+    p = uq.mincut_problem(g, cut_measure)
+    fstar = min_cut_value_function(g)
+    rng = np.random.default_rng(66)
+    fams = [uq.piecewise_family(cut_measure)]
+    for n in range(1, 7):
+        fams.append(fams[-1].grow(uq.zero_expansion(fams[-1], n, p.dimension), n + 1, rng).basis)
+    # the same cell count over another partition: only the family tells them apart
+    twin = uq.piecewise_family(cut_measure, bs.Partition((0.5, 1.0, 1.5, 2.0, 2.5, 3.0)))
+    assert twin.partition != fams[-1].partition
+    seq = fams + [fams[-1], twin, fams[-1]]
+    levels = [f.partition.n_cells for f in seq]
+    for cached, oracle in gap_norm_levels(lambda j: seq[j], levels, p.dimension, fstar, p, 67):
+        assert cached == oracle

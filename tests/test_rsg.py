@@ -9,6 +9,8 @@ from uqsubgrad.oracle import GVEstimate
 from uqsubgrad.rsg import grow_expansion
 from uqsubgrad.submodular import min_cut_value_function, random_cut_graph
 
+from oracles import gap_norm_uncached
+
 
 def zero_subgradient_problem(q=2):
     return uq.ProblemSpec(
@@ -531,3 +533,34 @@ def test_stage_hook_equals_plain_subgradient_bitwise(kind, sigma, quad_problem, 
         out = uq.sg_subroutine(p, start, eta, 7, start.m, cfg, np.random.default_rng(48))
         ref = uq.sg_subroutine(plain, start, eta, 7, start.m, cfg, np.random.default_rng(48))
         assert np.array_equal(out.coefficients, ref.coefficients)
+
+
+def run_gap_norms(p, cfg, fam, reference_values):
+    """(trace error, uncached oracle) of every stage of a restarted run."""
+    pairs = []
+    on_stage = lambda e, row: pairs.append(
+        (row.fn_error_pi, gap_norm_uncached(p, e, reference_values)))
+    uq.restarted_outer(p, cfg, fam, reference_values=reference_values, on_stage=on_stage)
+    return pairs
+
+
+def test_run_error_equals_uncached_gap_norm_legendre(quad_problem, quad_measure):
+    cfg = uq.RsgConfig(
+        eps0=16.0, eps_target=0.01, alpha=1.5, t=5, k_stages=4, outer_loops=2,
+        m_schedule=lambda j: min(7 + j, 12), oracle=uq.OracleConfig(8), seed=68,
+    )
+    ref = lambda th: quad_problem.objective(uq.quadratic_reference(th), th)
+    pairs = run_gap_norms(quad_problem, cfg, uq.legendre_family(quad_measure), ref)
+    assert len(pairs) == 8 and all(err == oracle for err, oracle in pairs)
+
+
+def test_run_error_equals_uncached_gap_norm_piecewise(cut_measure):
+    g = random_cut_graph(np.random.default_rng(69), 5, theta_range=(0.0, 4.0))
+    p = uq.mincut_problem(g, cut_measure)
+    cfg = uq.RsgConfig(
+        eps0=4.0, eps_target=0.01, alpha=1.2, t=5, k_stages=4, outer_loops=2,
+        m_schedule=lambda j: 2 + j // 2, oracle=uq.OracleConfig(8), seed=70,
+        initial_step=0.05,
+    )
+    pairs = run_gap_norms(p, cfg, uq.piecewise_family(cut_measure), min_cut_value_function(g))
+    assert len(pairs) == 8 and all(err == oracle for err, oracle in pairs)
