@@ -41,11 +41,13 @@ class Partition:
     breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
-        bp = tuple(float(c) for c in self.breakpoints)
-        object.__setattr__(self, "breakpoints", bp)
-        if any(not np.isfinite(c) for c in bp):
+        bp = np.asarray(self.breakpoints, dtype=float)
+        if bp.ndim != 1:
+            raise TypeError("breakpoints must be a sequence of numbers")
+        object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
+        if not np.isfinite(bp).all():
             raise ValueError("breakpoints must be finite")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
+        if (np.diff(bp) <= 0).any():
             raise ValueError("breakpoints must be strictly increasing and unique")
 
     @property

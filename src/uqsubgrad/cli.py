@@ -185,6 +185,7 @@ def load_config(path: Path, seed_override: Optional[int] = None,
     _require(theta_samples >= 1, "rsg.theta_samples", "must be >= 1")
     oracle = OracleConfig(theta_samples_per_call=theta_samples, noise=noise)
     seed = seed_override if seed_override is not None else _get(cp, "rsg", "seed", int, 0)
+    _require(seed >= 0, "rsg.seed", "must be >= 0")
     initial_step = None
     if cp.has_option("rsg", "initial_step"):
         initial_step = _get(cp, "rsg", "initial_step", float)

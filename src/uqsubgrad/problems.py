@@ -233,13 +233,15 @@ class _CutEdges:
     one column: a ground-set node's subgradient entry, or column q, the value
     of the empty set. Contributions of an edge between two internal nodes
     count only when node u of its pair ranks after node v; the others use the
-    always-true gate 0. They are listed in edge order, so each column sums in
-    the same order as an edge loop.
+    always-true gate 0. Pairs with u > v come first (the first ``descending``
+    of them), the rest after, each group in edge order; contributions stay in
+    edge order, so each column sums in the same order as an edge loop.
     """
 
     q: int
     u: np.ndarray         # (P,) node pairs compared by greedy rank
     v: np.ndarray
+    descending: int       # how many pairs, from the first, have u > v
     column: np.ndarray    # (C,) per contribution
     base: np.ndarray      # sign * the edge's base weight
     slope: np.ndarray     # sign * the edge's slope
@@ -269,31 +271,40 @@ class _CutEdges:
         w = np.array([(base, slope) for _, _, base, slope in g.edges]).reshape(-1, 2)
         column, edge, gate = (c[:, i].astype(np.intp) for i in (0, 1, 3))
         lines = c[:, 2, None] * w[edge]  # sign * (base, slope)
-        return cls(q, p[:, 0], p[:, 1], column, lines[:, 0], lines[:, 1], gate)
+        order = np.argsort(p[:, 0] <= p[:, 1], kind="stable")  # pairs with u > v first
+        gate = np.concatenate(([0], 1 + np.argsort(order)))[gate]  # each pair's new place
+        u, v = p[order, 0], p[order, 1]
+        return cls(q, u, v, int((u > v).sum()), column, lines[:, 0], lines[:, 1], gate)
 
     def bins(self, n: int) -> np.ndarray:
-        """Flat (row, column) accumulator index of every contribution of n rows."""
-        return (np.arange(n)[:, None] * (self.q + 1) + self.column).ravel()
+        """Flat (column, theta) accumulator index of every contribution at n thetas."""
+        return (self.column[:, None] * n + np.arange(n)).ravel()
 
 
 def _greedy_sums(edges: _CutEdges, X2: np.ndarray, t: np.ndarray, bins: np.ndarray):
     """Greedy chain over rows X2 (N, q) at thetas t (N,): an (N, q + 1) array
-    of the subgradient entries, then the value of the empty set.
+    of the subgradient entries, then the value of the empty set (a transposed
+    view of the (q + 1, N) sums).
 
     Ranks are those of a stable descending sort, so ties break by ascending
     index, matching the scalar path in :mod:`uqsubgrad.submodular`: u ranks
-    after v exactly when x_u < x_v, or x_u == x_v and u > v. Each column sums
-    its contributions in edge order, starting from +0.0; a signed line can
-    differ from sign * w_edge only in the sign of a zero, which that sum
-    cannot see.
+    after v exactly when x_u < x_v, or x_u == x_v and u > v. The arrays are
+    contribution-major, one row per pair or contribution and one column per
+    theta. Each (column, theta) bin sums its contributions in edge order,
+    starting from +0.0; a signed line can differ from sign * w_edge only in
+    the sign of a zero, which that sum cannot see.
     """
-    n = len(t)
-    xu, xv = X2[:, edges.u], X2[:, edges.v]
-    toggled = np.ones((n, len(edges.u) + 1), dtype=bool)
-    toggled[:, 1:] = np.where(edges.u > edges.v, xu <= xv, xu < xv)
-    vals = (edges.base + edges.slope * t[:, None]) * toggled[:, edges.gate]
-    acc = np.bincount(bins, weights=vals.ravel(), minlength=n * (edges.q + 1))
-    return acc.reshape(n, edges.q + 1)
+    n, k = len(t), edges.descending
+    xt = X2.T
+    toggled = np.empty((len(edges.u) + 1, n), dtype=bool)
+    toggled[0] = True
+    np.less_equal(xt[edges.u[:k]], xt[edges.v[:k]], out=toggled[1:k + 1])
+    np.less(xt[edges.u[k:]], xt[edges.v[k:]], out=toggled[k + 1:])
+    vals = edges.slope[:, None] * t  # in place from here: one (C, N) array
+    vals += edges.base[:, None]
+    vals *= toggled[edges.gate]
+    acc = np.bincount(bins, weights=vals.ravel(), minlength=(edges.q + 1) * n)
+    return acc.reshape(edges.q + 1, n).T
 
 
 def _greedy_batch(edges: _CutEdges, X: np.ndarray, theta: np.ndarray):

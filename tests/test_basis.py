@@ -153,6 +153,22 @@ def test_refine_partition_insertion():
         uq.refine_partition(p, 1.0, support=(0.0, 1.0))
 
 
+def test_partition_validation_keeps_python_floats_and_messages():
+    p = uq.Partition(np.array([0.25, 0.5]))
+    assert p.breakpoints == (0.25, 0.5) and all(type(c) is float for c in p.breakpoints)
+    assert repr(uq.Partition([1, 2.5]).breakpoints) == "(1.0, 2.5)"
+    assert uq.Partition().breakpoints == () and uq.Partition([]).n_cells == 1
+    for bad in ((0.1, np.nan), (np.inf,), (-np.inf, 0.0)):
+        with pytest.raises(ValueError, match="^breakpoints must be finite$"):
+            uq.Partition(bad)
+    for bad in ((0.5, 0.5), (0.5, 0.25), (0.1, 0.3, 0.2)):
+        with pytest.raises(ValueError, match="^breakpoints must be strictly increasing and unique$"):
+            uq.Partition(bad)
+    for bad in (0.5, np.float64(0.5), ((0.1, 0.2),)):  # not a sequence of numbers
+        with pytest.raises(TypeError):
+            uq.Partition(bad)
+
+
 def test_transfer_preserves_values_off_breakpoints(unit_measure):
     rng = np.random.default_rng(17)
     fam = uq.piecewise_family(unit_measure, uq.Partition((0.4,)))

@@ -345,6 +345,23 @@ def test_bad_step_or_schedule_exits_2_before_solving(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config_seed, override", [("-1", None), ("99", "-3")])
+def test_negative_seed_exits_2_before_solving(tmp_path, capsys, monkeypatch, config_seed, override):
+    def solve(*args, **kwargs):
+        raise AssertionError("the solver must not start")
+
+    monkeypatch.setattr(cli, "restarted_outer", solve)
+    cfg = small_quadratic_cfg(tmp_path, rsg={"seed": config_seed})
+    seed = None if override is None else int(override)
+    with pytest.raises(cli.ConfigError, match="rsg.seed"):
+        cli.load_config(cfg, seed)
+    out = tmp_path / "out"
+    args = ["run", str(cfg), "--out", str(out)] + ([] if override is None else ["--seed", override])
+    assert cli.main(args) == 2
+    assert "rsg.seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_problem_table_pairs_each_problem_with_its_projection(tmp_path):
     for name in ("quadratic.cfg", "mincut.cfg"):
         cfg = cli.load_config(DEMOS / name)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -366,10 +368,12 @@ def test_quadratic_curvature_table_equals_branch_formulas_at_signed_zeros(sigma,
     assert np.signbit(quadratic_branch_formulas(mu, L, x[0], ref[0])[0][2]).all()
 
 
-def greedy_sums_argsort_ranks(edges, X2, t, bins):
-    """``_greedy_sums`` with ranks from a stable descending argsort: the
-    reference for its sort-free rank comparison."""
+def greedy_sums_argsort_ranks(edges, X2, t):
+    """``_greedy_sums`` with ranks from a stable descending argsort, laid out
+    row-major (one row per theta): the reference for its sort-free rank
+    comparison and its contribution-major layout."""
     n = len(t)
+    bins = (np.arange(n)[:, None] * (edges.q + 1) + edges.column).ravel()
     order = np.argsort(-X2, axis=-1, kind="stable")
     ranks = np.empty_like(order)
     ranks[np.arange(n)[:, None], order] = np.arange(edges.q)
@@ -400,11 +404,59 @@ def test_sort_free_greedy_ranks_equal_argsort_and_edge_loop_bitwise(n):
             t = rng.uniform(*g.theta_range, size=64)
             t[:4] = g.theta_range[0]
             sums = _greedy_sums(edges, X, t, bins)
-            assert sums.tobytes() == greedy_sums_argsort_ranks(edges, X, t, bins).tobytes()
+            assert sums.tobytes() == greedy_sums_argsort_ranks(edges, X, t).tobytes()
             ref_vals, ref_grad = greedy_batch_edge_loop(g, X, t)
             assert sums[:, :-1].tobytes() == ref_grad.tobytes()
             vals, grad = _greedy_batch(edges, X, t)
             assert vals.tobytes() == ref_vals.tobytes() and grad.tobytes() == ref_grad.tobytes()
+
+
+def oriented_graphs(rng, n):
+    """One random graph four ways: every internal edge reversed (u > v in
+    the ground-set order), as generated (u < v), every other one reversed,
+    and its terminal edges alone."""
+    g = random_cut_graph(rng, n)
+    internal = [(u, v) for u, v, _, _ in g.edges if g.source != u and g.sink != v]
+    assert internal and all(g.ground_set.index(u) < g.ground_set.index(v) for u, v in internal)
+
+    def reversed_edges(flip):
+        return tuple((v, u, b, s) if (u, v) in flip else (u, v, b, s) for u, v, b, s in g.edges)
+
+    terminal = tuple(e for e in g.edges if e[:2] not in internal)
+    return {
+        "descending": dataclasses.replace(g, edges=reversed_edges(internal)),
+        "ascending": g,
+        "mixed": dataclasses.replace(g, edges=reversed_edges(internal[1::2])),
+        "terminal": dataclasses.replace(g, edges=terminal),
+    }
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("orientation", ["descending", "ascending", "mixed", "terminal"])
+def test_pair_orientation_groups_match_edge_loop_and_subgradient_bitwise(orientation, sigma):
+    rng = np.random.default_rng(500)
+    g = oriented_graphs(rng, 9)[orientation]
+    edges = _CutEdges.of(g)
+    k, n_pairs = edges.descending, len(edges.u)
+    assert (edges.u[:k] > edges.v[:k]).all() and (edges.u[k:] < edges.v[k:]).all()
+    expected = {"descending": n_pairs, "ascending": 0, "mixed": n_pairs // 2, "terminal": 0}
+    assert k == expected[orientation] and (n_pairs == 0) == (orientation == "terminal")
+    p = uq.mincut_problem(g, uq.ThetaMeasure(*g.theta_range))
+    # few levels, both signed zeros among them: most rows carry ties
+    X = rng.choice([-0.0, 0.0, 0.5, 1.0], size=(3, 64, 9))
+    X[:, :4] = 0.5
+    thetas = rng.uniform(*g.theta_range, size=(3, 64))
+    noise = rng.standard_normal(X.shape) * sigma if sigma else None
+    step = p.stage(thetas)
+    for t in range(3):
+        ref_vals, ref_grad = greedy_batch_edge_loop(g, X[t], thetas[t])
+        vals, grad = _greedy_batch(edges, X[t], thetas[t])
+        assert vals.tobytes() == ref_vals.tobytes() and grad.tobytes() == ref_grad.tobytes()
+        assert p.objective(X[t], thetas[t]).tobytes() == ref_vals.tobytes()
+        nz = None if noise is None else noise[t]
+        ref_step = ref_grad if nz is None else ref_grad + nz
+        assert p.subgradient(X[t], thetas[t], nz).tobytes() == ref_step.tobytes()
+        assert step(X[t], t, nz).tobytes() == ref_step.tobytes()
 
 
 def test_ball_projection_norm_equals_linalg_norm_bitwise():
