@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Optional, Union
 
 import numpy as np
@@ -139,12 +140,20 @@ class LegendreFamily(BasisFamily):
 
     kind = "legendre_orthonormal"
     projection = "l2_ball"
-    _norm_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def max_level(self) -> int:
         """Largest level evaluated: half the measure's quadrature nodes."""
         return self.measure.quadrature_nodes // 2
+
+    @cached_property
+    def _norms(self) -> np.ndarray:
+        """Norms of the first max_level polynomials under the measure's own
+        rule, the exact inner product used everywhere; level m takes [:m]."""
+        mes = self.measure
+        x = 2.0 * (mes.nodes - mes.a) / (mes.b - mes.a) - 1.0
+        V = np.polynomial.legendre.legvander(x, self.max_level - 1)
+        return np.sqrt(np.einsum("nm,nm,n->m", V, V, mes.weights))
 
     def _matrix(self, theta: np.ndarray, m: int) -> np.ndarray:
         mes = self.measure
@@ -153,20 +162,12 @@ class LegendreFamily(BasisFamily):
                 f"m={m} polynomials need more quadrature nodes "
                 f"({mes.quadrature_nodes} available)"
             )
-        norms = self._norm_cache.get("norms")
-        if norms is None or norms.shape[0] < m:
-            # Normalised against the measure's own quadrature rule so that the
-            # family is orthonormal under the exact inner product used everywhere.
-            x = 2.0 * (mes.nodes - mes.a) / (mes.b - mes.a) - 1.0
-            V = np.polynomial.legendre.legvander(x, m - 1)
-            norms = np.sqrt(np.einsum("nm,nm,n->m", V, V, mes.weights))
-            self._norm_cache["norms"] = norms
         x = 2.0 * (theta - mes.a) / (mes.b - mes.a) - 1.0
         # in place: the same bytes as an out-of-place division, without a
         # second array, and legvander's strided layout, which B[t] @ u's
         # summation order follows
         V = np.polynomial.legendre.legvander(x, m - 1)
-        V /= norms[:m]
+        V /= self._norms[:m]
         return V
 
     def rows(self, m: int) -> int:

@@ -313,8 +313,8 @@ def compute_statistics(
     thetas = rng.uniform(measure.a, measure.b, size=n)
     samples = bs.synthesize(e, thetas)
     qs = {
-        repr(float(q)): [float(v) for v in np.quantile(samples, q, axis=0)]
-        for q in quantiles
+        repr(float(q)): [float(v) for v in row]
+        for q, row in zip(quantiles, np.quantile(samples, list(quantiles), axis=0))
     }
 
     freqs = None

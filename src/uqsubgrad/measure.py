@@ -8,7 +8,7 @@ deterministic for a given node count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -19,6 +19,8 @@ import numpy as np
 ScalarField = Callable[[np.ndarray], np.ndarray]
 
 ArrayLike = Union[float, np.ndarray]
+# n -> the n-node Gauss-Legendre rule on [-1, 1], computed once; read only
+_gauss_legendre = cache(np.polynomial.legendre.leggauss)
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class ThetaMeasure:
 
     @cached_property
     def _rule(self) -> tuple[np.ndarray, np.ndarray]:
-        x, w = np.polynomial.legendre.leggauss(self.quadrature_nodes)
+        x, w = _gauss_legendre(self.quadrature_nodes)
         nodes = 0.5 * (self.a + self.b) + 0.5 * (self.b - self.a) * x
         # Probability normalisation: Gauss-Legendre weights sum to 2 on [-1, 1].
         return nodes, w / 2.0
@@ -78,7 +80,7 @@ class ThetaMeasure:
         edges = np.concatenate(([self.a], np.asarray(breakpoints, float), [self.b]))
         if np.any(np.diff(edges) <= 0):
             raise ValueError("breakpoints must be strictly increasing and interior")
-        x, w = np.polynomial.legendre.leggauss(nodes_per_cell)
+        x, w = _gauss_legendre(nodes_per_cell)
         lo, hi = edges[:-1], edges[1:]
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)

@@ -206,52 +206,76 @@ def brute_force_min(spec: SetFunctionSpec, theta: float) -> DiscreteSolution:
     return DiscreteSolution(best[1], best[2])
 
 
-# Relative to scale, the table's largest |base| + |slope * theta| on the
-# range: a line is kept when it comes within _KEEP_RTOL * scale of the
-# envelope somewhere, and the search splits an interval on a drop of more than
-# _SPLIT_RTOL * scale. Float rounding moves a line's value by ~1e-16 * scale.
-_KEEP_RTOL = 1e-9
+# The search splits an interval when a cut lies lower than both end lines at
+# their intersection by more than _SPLIT_RTOL * scale; scale bounds every cut's
+# |base| + |slope * theta| on the range, and rounding moves a value ~1e-16 * scale.
 _SPLIT_RTOL = 1e-12
 
 
-def _cut_table(g: CutGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(base, slope) of the cut of every sink-side subset, indexed by the
-    bit mask over the ground set; sums run over the edges in edge order."""
-    ground = g.ground_set
-    masks = np.arange(2 ** len(ground))
-    in_sink = {name: (masks >> i) & 1 == 1 for i, name in enumerate(ground)}
-    in_sink[g.sink] = np.ones(masks.shape, dtype=bool)
-    in_sink[g.source] = np.zeros(masks.shape, dtype=bool)
-    bases = np.zeros(masks.shape)
-    slopes = np.zeros(masks.shape)
+def _extreme_min_cuts(g: CutGraph, theta: float) -> tuple[frozenset, frozenset]:
+    """Sink sides of the largest and the smallest minimum cut at theta: what
+    the source cannot reach, and what reaches the sink, in the residual graph
+    of a shortest-augmenting-path max-flow (weights clipped at 0). Each
+    augmentation empties its bottleneck arc exactly."""
+    index = {name: i for i, name in enumerate(g.nodes)}
+    head, cap, arcs = [], [], [[] for _ in g.nodes]  # arc a ^ 1 reverses arc a
     for u, v, base, slope in g.edges:
-        cut = ~in_sink[u] & in_sink[v]
-        bases[cut] += base
-        slopes[cut] += slope
-    return bases, slopes
+        for a, b, c in ((u, v, max(base + slope * theta, 0.0)), (v, u, 0.0)):
+            arcs[index[a]].append(len(head))
+            head.append(index[b])
+            cap.append(c)
+
+    def reach(root: int, forward: bool) -> dict:  # node -> arc it was met by
+        found = {root: None}
+        for x in (queue := [root]):
+            for a in arcs[x]:
+                if head[a] not in found and cap[a if forward else a ^ 1] > 0:
+                    found[head[a]] = a
+                    queue.append(head[a])
+        return found
+
+    s, t = index[g.source], index[g.sink]
+    while t in (tree := reach(s, True)):
+        path, x = [], t
+        while x != s:
+            path.append(tree[x])
+            x = head[tree[x] ^ 1]
+        flow = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= flow
+            cap[a ^ 1] += flow
+    to_sink = reach(t, False)
+    return (frozenset(n for n in g.nodes if index[n] not in tree),
+            frozenset(n for n in g.nodes if index[n] in to_sink))
 
 
-def _envelope_breakpoints(bases, slopes, lo: float, hi: float, tol: float) -> list[float]:
-    """Breakpoints of the lower envelope of the lines on [lo, hi], by the
+def _cut_line(g: CutGraph, sink_side: frozenset) -> tuple[float, float]:
+    """(base, slope) of a cut, summed over the edges in edge order."""
+    base = slope = 0.0
+    for u, v, b, s in g.edges:
+        if u not in sink_side and v in sink_side:
+            base, slope = base + b, slope + s
+    return base, slope
+
+
+def _envelope_breakpoints(argmin_at, lo: float, hi: float, tol: float) -> list[float]:
+    """Breakpoints of the min-cut value function on [lo, hi], by the
     Eisner-Severance recursion: intersect the optimal lines at the two ends of
-    an interval; if some line lies lower there, split the interval at that
-    point, otherwise the intersection is a breakpoint."""
-    def argmin_at(theta):
-        return int(np.argmin(bases + slopes * theta))
-
+    an interval; if some cut lies lower there, split the interval at that
+    point, otherwise the intersection is a breakpoint. ``argmin_at(theta)`` is
+    the (base, slope) of a minimum cut at theta."""
     found = []
     pending = [(lo, argmin_at(lo), hi, argmin_at(hi))]
     while pending:
-        left, a, right, b = pending.pop()
-        if slopes[a] == slopes[b]:
+        left, (ba, sa), right, (bb, sb) = pending.pop()
+        if sa == sb:
             continue  # one line on the whole interval
-        x = (bases[b] - bases[a]) / (slopes[a] - slopes[b])
+        x = (bb - ba) / (sa - sb)
         if not left < x < right:
             continue
-        vals = bases + slopes * x
-        c = int(np.argmin(vals))
-        if vals[c] < min(vals[a], vals[b]) - tol:
-            pending += [(left, a, x, c), (x, c, right, b)]
+        c = argmin_at(x)
+        if c[0] + c[1] * x < min(ba + sa * x, bb + sb * x) - tol:
+            pending += [(left, (ba, sa), x, c), (x, c, right, (bb, sb))]
         else:
             found.append(float(x))
     return sorted(found)
@@ -282,26 +306,24 @@ class MinCutEnvelope:
 def min_cut_value_function(g: CutGraph) -> MinCutEnvelope:
     """Vectorized theta -> min-cut value, exact on ``g.theta_range``.
 
-    Every subset's cut value is affine in theta, so the optimal value is the
-    lower envelope of 2^n lines. The (base, slope) table is built once, the
-    envelope's breakpoints on the range are found by recursive intersection,
-    and the table is reduced to the lines that come within a relative 1e-9 of
-    the envelope at a range end or a breakpoint. Line minus envelope is convex
-    and piecewise linear, so those points bound it everywhere on the range:
-    every line that can win the floating-point minimum is kept.
+    Every cut's value is affine in theta, so the optimal value is the lower
+    envelope of the cut lines. Its breakpoints are found by recursive
+    intersection, each probe answered by one max-flow's two extreme minimum
+    cuts, and the line of every distinct cut found is kept. No 2^n table is
+    built; the floats match the minimum over all 2^n cut lines.
     """
-    if len(g.ground_set) > BRUTE_FORCE_CAP:
-        raise ValueError("ground set too large for brute force")
-    bases, slopes = _cut_table(g)
     lo, hi = g.theta_range
     lo, hi = lo - _THETA_SLACK, hi + _THETA_SLACK
-    scale = float(np.max(np.abs(bases) + np.abs(slopes) * max(abs(lo), abs(hi))))
-    breakpoints = _envelope_breakpoints(bases, slopes, lo, hi, _SPLIT_RTOL * scale)
-    keep = np.zeros(bases.shape, dtype=bool)
-    for theta in (lo, *breakpoints, hi):
-        vals = bases + slopes * theta
-        keep |= vals <= vals.min() + _KEEP_RTOL * scale
-    return MinCutEnvelope(bases[keep], slopes[keep], tuple(breakpoints), g.theta_range)
+    scale = sum(abs(base) + abs(slope) * max(abs(lo), abs(hi)) for _, _, base, slope in g.edges)
+    lines: dict[frozenset, tuple[float, float]] = {}
+
+    def argmin_at(theta: float) -> tuple[float, float]:
+        cuts = [lines.setdefault(c, _cut_line(g, c)) for c in _extreme_min_cuts(g, theta)]
+        return min(cuts, key=lambda line: line[0] + line[1] * theta)
+
+    breakpoints = _envelope_breakpoints(argmin_at, lo, hi, _SPLIT_RTOL * scale)
+    bases, slopes = np.array(list(lines.values())).T
+    return MinCutEnvelope(bases, slopes, tuple(breakpoints), g.theta_range)
 
 
 def verify_submodular(

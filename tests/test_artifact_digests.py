@@ -1,5 +1,6 @@
-"""End-to-end bytes of the min-cut greedy kernel: the dense16 benchmark
-instance's seeded artifacts against the digests recorded in BENCH_15.json."""
+"""End-to-end bytes of the min-cut path: the seeded artifacts of the dense16
+benchmark instance (the greedy kernel) and of the chain demo (the reference's
+tied switch) against the digests recorded in BENCH_15.json."""
 
 import importlib.util
 import json
@@ -23,3 +24,16 @@ def test_dense16_config_seed_artifacts_match_recorded_digests(tmp_path, monkeypa
     got = tool.digests(tool.dense16_config(work), None, tmp_path / "out")
     recorded = json.loads((ROOT / "BENCH_15.json").read_text())["artifact_digests"]
     assert got == recorded["config_seed"]["change"]["mincut-dense16"]
+
+
+def test_chain_demo_config_seed_artifacts_match_recorded_digests(tmp_path):
+    """demos/mincut.cfg's optimal cut switches at theta = 2 with the two cuts
+    tied there: the seeded artifacts pin which cut the reference keeps."""
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digests", ROOT / "tools" / "artifact_digests.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    got = tool.digests(ROOT / "demos" / "mincut.cfg", None, tmp_path / "out")
+    recorded = json.loads((ROOT / "BENCH_15.json").read_text())["artifact_digests"]
+    assert got == recorded["config_seed"]["change"]["demos/mincut.cfg"]

@@ -3,7 +3,7 @@ import pytest
 
 import uqsubgrad as uq
 from oracles import chain_relaxation_closed_form
-from uqsubgrad.submodular import min_cut_value_function, random_cut_graph
+from uqsubgrad.submodular import BRUTE_FORCE_CAP, min_cut_value_function, random_cut_graph
 
 
 def naive_cut(graph, sink_members, theta):
@@ -220,10 +220,9 @@ def test_min_cut_value_function_matches_brute_force():
         assert np.allclose(fstar(thetas), expected, atol=1e-12)
 
 
-def full_table_min(graph):
-    """theta -> min over the cut lines of all 2^n sink-side sets, enumerated
-    mask by mask: the reference that the reduced envelope must match bit for
-    bit on the theta range."""
+def full_table_lines(graph):
+    """(base, slope) arrays of the cut lines of all 2^n sink-side sets,
+    enumerated mask by mask, each summed over the edges in edge order."""
     ground = graph.ground_set
     bases, slopes = [], []
     for mask in range(2 ** len(ground)):
@@ -235,8 +234,36 @@ def full_table_min(graph):
                 s += slope
         bases.append(b)
         slopes.append(s)
-    B, S = np.asarray(bases), np.asarray(slopes)
+    return np.asarray(bases), np.asarray(slopes)
+
+
+def full_table_min(graph):
+    """theta -> min over the cut lines of all 2^n sink-side sets: the
+    reference that the reduced envelope must match bit for bit on the theta
+    range."""
+    B, S = full_table_lines(graph)
     return lambda theta: np.min(B + S * np.asarray(theta, dtype=float)[..., None], axis=-1)
+
+
+def full_table_kinks(graph):
+    """Breakpoint count of the lower envelope of all 2^n cut lines on the
+    slack-widened theta range, by walking the envelope left to right: from
+    the optimal line at the left end, hop to the line that overtakes it first
+    (the flattest one on a tie)."""
+    B, S = full_table_lines(graph)
+    lo, hi = graph.theta_range
+    lo, hi = lo - 1e-12, hi + 1e-12
+    i = min(range(len(B)), key=lambda j: (B[j] + S[j] * lo, S[j]))
+    theta, kinks = lo, 0
+    while (flatter := np.flatnonzero(S < S[i])).size:
+        x = (B[flatter] - B[i]) / (S[i] - S[flatter])
+        if x.min() >= hi:
+            break
+        tied = flatter[x == x.min()]
+        i = tied[np.argmin(S[tied])]
+        kinks += bool(x.min() > theta)
+        theta = x.min()
+    return kinks
 
 
 def envelope_probes(f, rng, size=400):
@@ -284,6 +311,49 @@ def test_min_cut_envelope_rejects_theta_outside_range(theta):
     f = min_cut_value_function(switching_chain())
     with pytest.raises(ValueError, match="outside range"):
         f(theta)
+
+
+def sweep_graphs(count=40):
+    """Seeded random graphs with n <= 10 on the theta ranges (0, 4) and, by
+    the substitution theta -> theta + 3, (-3, 1); weights keep their values
+    and their signs of slope, negative slopes included."""
+    rng = np.random.default_rng(1717)
+    for k in range(count):
+        g = random_cut_graph(rng, 1 + k % 10, edge_prob=float(rng.uniform(0.3, 0.8)))
+        if k % 2:
+            edges = tuple((u, v, base + 3.0 * slope, slope) for u, v, base, slope in g.edges)
+            g = uq.CutGraph(g.nodes, g.source, g.sink, edges, (-3.0, 1.0))
+        yield g
+
+
+def test_min_cut_envelope_sweep_matches_full_table():
+    rng = np.random.default_rng(17)
+    graphs = list(sweep_graphs())
+    assert any(slope < 0 for g in graphs for *_, slope in g.edges)
+    kinked = 0
+    for g in graphs:
+        f = min_cut_value_function(g)
+        thetas = envelope_probes(f, rng)
+        assert np.array_equal(f(thetas), full_table_min(g)(thetas))
+        assert len(f.breakpoints) == full_table_kinks(g)
+        kinked += len(f.breakpoints) > 0
+    assert kinked >= 5
+
+
+@pytest.mark.parametrize("seed, n, edge_prob", [(0, 50, 0.3), (4, 60, 0.2)])
+def test_min_cut_reference_beyond_brute_force_cap_matches_networkx(seed, n, edge_prob):
+    nx = pytest.importorskip("networkx")
+    g = random_cut_graph(np.random.default_rng(seed), n, edge_prob=edge_prob)
+    assert len(g.ground_set) > BRUTE_FORCE_CAP
+    f = min_cut_value_function(g)
+    assert len(f.breakpoints) >= 3
+    thetas = np.concatenate((f.breakpoints, np.linspace(*g.theta_range, 20 - len(f.breakpoints))))
+    for theta in thetas:
+        net = nx.DiGraph()
+        for u, v, base, slope in g.edges:
+            net.add_edge(u, v, capacity=base + slope * theta)
+        expected = nx.minimum_cut_value(net, g.source, g.sink)
+        assert f(theta) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_parse_cut_graph_round_trip(demo_graph):
