@@ -95,6 +95,14 @@ def refine_partition(
     return Partition(tuple(bp))
 
 
+# Thetas per block of BasisFamily.sample_rows. Blocks start at multiples of it
+# and the last one takes the remainder (SAMPLE_BLOCK to 2 * SAMPLE_BLOCK - 1
+# rows), so that with one BLAS thread every block's matrix product gives the
+# bytes of one product over all thetas; a last block of only 1-3 rows can
+# change the last bit.
+SAMPLE_BLOCK = 1024
+
+
 @dataclass(frozen=True)
 class BasisFamily:
     """A basis of L2(pi). ``kind`` is its serialized tag, ``projection`` the
@@ -105,8 +113,8 @@ class BasisFamily:
     ``rule``, ``analyze``, ``tail_norm`` (pi-norm of rows m onward),
     ``kept_rows`` (truncation), ``grow`` and ``reference_tail_norm``. The
     defaults below suit any family: no largest level (``max_level``), a
-    header of kind, support and rule only, and one row per sample to
-    threshold-round (``cut_rows``).
+    header of kind, support and rule only, and a statistics sample of one
+    synthesized row per theta (``sample_rows``).
     """
 
     measure: ThetaMeasure
@@ -130,8 +138,15 @@ class BasisFamily:
     def from_header(cls, measure: ThetaMeasure, fields: dict) -> BasisFamily:
         return cls(measure)
 
-    def cut_rows(self, c: np.ndarray, samples: np.ndarray, thetas: np.ndarray):
-        return samples, np.ones(len(samples), dtype=int)
+    def sample_rows(self, e: Expansion, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, index)`` with ``rows[index] == synthesize(e, thetas)``:
+        here one row per theta, synthesized a block at a time."""
+        n = len(thetas)
+        rows = np.empty((n, e.q))
+        ends = [*range(SAMPLE_BLOCK, n - SAMPLE_BLOCK + 1, SAMPLE_BLOCK), n]
+        for lo, hi in zip([0] + ends, ends):
+            rows[lo:hi] = synthesize(e, thetas[lo:hi])
+        return rows, np.arange(n)
 
 
 @dataclass(frozen=True)
@@ -302,9 +317,9 @@ class PiecewiseFamily(BasisFamily):
         bps = tuple(float(v) for v in fields.get("breakpoints", "").split())
         return cls(measure, Partition(bps))
 
-    def cut_rows(self, c: np.ndarray, samples: np.ndarray, thetas: np.ndarray):
-        # one value per cell: round each cell once, counting its samples
-        return c, np.bincount(cell_index(self.partition, self.measure, thetas), minlength=len(c))
+    def sample_rows(self, e: Expansion, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cell values and each theta's cell."""
+        return e.coefficients, cell_index(self.partition, self.measure, thetas)
 
 
 legendre_family = LegendreFamily

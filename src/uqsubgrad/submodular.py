@@ -414,9 +414,13 @@ def random_cut_graph(
     def weight():
         base = rng.uniform(0.0, 3.0)
         slope = rng.uniform(-0.2, 0.5)
-        # keep w(theta) >= 0 over the range
+        # keep w(theta) >= 0 over the range: flip the slope, and where a
+        # negative lower end still pulls w(lo) below zero, take the slope
+        # that puts w(lo) at base / 2
         if base + slope * lo < 0 or base + slope * hi < 0:
             slope = abs(slope)
+            if base + slope * lo < 0:
+                slope = base / (-2.0 * lo)
         return base, slope
 
     for i, u in enumerate(nodes[:-1]):

@@ -1,6 +1,7 @@
-"""End-to-end bytes of the min-cut path: the seeded artifacts of the dense16
-benchmark instance (the greedy kernel) and of the chain demo (the reference's
-tied switch) against the digests recorded in BENCH_15.json."""
+"""End-to-end bytes: the seeded artifacts of the dense16 benchmark instance
+(the greedy kernel), of the chain demo (the reference's tied switch) and of
+the quadratic demo (the Legendre solve and statistics) against the digests
+recorded in BENCH_15.json."""
 
 import importlib.util
 import json
@@ -10,12 +11,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_dense16_config_seed_artifacts_match_recorded_digests(tmp_path, monkeypatch):
+def load_tool():
     spec = importlib.util.spec_from_file_location(
         "artifact_digests", ROOT / "tools" / "artifact_digests.py"
     )
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_dense16_config_seed_artifacts_match_recorded_digests(tmp_path, monkeypatch):
+    tool = load_tool()
     # dense16_config registers perfbench/instance.py as sys.modules["instance"];
     # setitem puts the entry back as it was afterwards
     monkeypatch.setitem(sys.modules, "instance", None)
@@ -29,11 +35,14 @@ def test_dense16_config_seed_artifacts_match_recorded_digests(tmp_path, monkeypa
 def test_chain_demo_config_seed_artifacts_match_recorded_digests(tmp_path):
     """demos/mincut.cfg's optimal cut switches at theta = 2 with the two cuts
     tied there: the seeded artifacts pin which cut the reference keeps."""
-    spec = importlib.util.spec_from_file_location(
-        "artifact_digests", ROOT / "tools" / "artifact_digests.py"
-    )
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool()
     got = tool.digests(ROOT / "demos" / "mincut.cfg", None, tmp_path / "out")
     recorded = json.loads((ROOT / "BENCH_15.json").read_text())["artifact_digests"]
     assert got == recorded["config_seed"]["change"]["demos/mincut.cfg"]
+
+
+def test_quadratic_demo_config_seed_artifacts_match_recorded_digests(tmp_path):
+    tool = load_tool()
+    got = tool.digests(ROOT / "demos" / "quadratic.cfg", None, tmp_path / "out")
+    recorded = json.loads((ROOT / "BENCH_15.json").read_text())["artifact_digests"]
+    assert got == recorded["config_seed"]["change"]["demos/quadratic.cfg"]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,8 @@ def test_config_errors_name_the_field(tmp_path):
         ("stats", "samples", "0"),
         ("stats", "round_eps", "0"),
         ("stats", "round_eps", "1.5"),
+        ("measure", "quadrature_nodes", "0"),
+        ("measure", "quadrature_nodes", str(cli.MAX_QUADRATURE_NODES + 1)),
     ],
 )
 def test_bad_field_exits_2_before_solving(tmp_path, capsys, section, key, value):
@@ -183,6 +186,11 @@ _PIECEWISE_OK = _expansion_text("piecewise", 0.0, 4.0, 2)
         ("mincut", _PIECEWISE_OK.replace("shape: 3 2", "shape: 4 2"), "coefficient block"),
         ("mincut", _PIECEWISE_OK.replace("0.5 0.5\n", "0.5\n", 1), "expansion"),
         ("mincut", "not an expansion\n", "not an expansion file"),
+        # the statistics would build the file's own 3000-node rule
+        ("quadratic", _expansion_text("legendre", 0.0, 2 * np.pi, 2).replace(
+            "quadrature_nodes: 128", "quadrature_nodes: 3000"), "expansion quadrature_nodes"),
+        ("mincut", _PIECEWISE_OK.replace("quadrature_nodes: 128", "quadrature_nodes: 64"),
+         "expansion quadrature_nodes"),
     ],
 )
 def test_stats_refuses_mismatched_or_malformed_expansion(tmp_path, capsys, config, text, field):
@@ -228,6 +236,53 @@ def test_cut_frequencies_per_cell_equal_per_sample_loop(cut_measure, seed):
         ref = cut_frequencies_per_sample(e, cut_measure, 5000, np.random.default_rng(seed), 0.3, g)
         assert len(ref) > 3 and rep.cut_frequencies == ref
         assert rep.to_json() == cli.StatsReport(rep.mean, rep.variance, rep.quantiles, ref).to_json()
+
+
+def quantiles_of_all_samples(e, measure, n, quantiles, rng):
+    """The quantile table from one axis-0 call on the (n, q) samples."""
+    samples = bs.synthesize(e, rng.uniform(measure.a, measure.b, size=n))
+    return np.quantile(samples, list(quantiles), axis=0)
+
+
+def test_per_component_quantiles_equal_the_axis_0_call_bitwise(cut_measure):
+    rng = np.random.default_rng(18)
+    for case in range(60):
+        part = uq.Partition(tuple(np.sort(rng.uniform(0.0, 4.0, size=int(rng.integers(0, 30))))))
+        q = int(rng.integers(1, 5))
+        # few distinct values: ties everywhere, and signed zeros side by side
+        cells = rng.choice([-0.0, 0.0, 0.25, -1.5, 2.0], size=(part.n_cells, q))
+        e = bs.Expansion(cells, uq.piecewise_family(cut_measure, part))
+        if case % 3 == 0:
+            e = bs.Expansion(rng.standard_normal((5, q)), uq.legendre_family(cut_measure))
+        quantiles = tuple(rng.choice([0.0, 0.1, 0.25, 0.5, 0.9, 1.0, 0.333], size=3))
+        n = int(rng.integers(1, 3000))
+        rep = cli.compute_statistics(e, cut_measure, n, quantiles, np.random.default_rng(case))
+        ref = quantiles_of_all_samples(e, cut_measure, n, quantiles, np.random.default_rng(case))
+        got = np.array([rep.quantiles[repr(float(x))] for x in quantiles])
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("family", ["legendre", "piecewise"])
+def test_statistics_memory_is_linear_in_samples(cut_measure, family):
+    """The tracemalloc peak at n = 200,000 stays below 8 doubles per sample,
+    whatever m and q: no (n, m) design and no (n, q) copy per piecewise run."""
+    n, rng = 200_000, np.random.default_rng(3)
+    graph = None
+    if family == "legendre":
+        e = bs.Expansion(rng.standard_normal((32, 2)), uq.legendre_family(cut_measure))
+    else:
+        part = uq.Partition(tuple(np.sort(rng.uniform(0.0, 4.0, size=24))))
+        graph = random_cut_graph(rng, 16)
+        e = bs.Expansion(rng.uniform(size=(25, 16)), uq.piecewise_family(cut_measure, part))
+    e.basis.rule()  # the measure's Gauss rule is built once and cached: keep it outside
+    tracemalloc.start()
+    try:
+        cli.compute_statistics(e, cut_measure, n, (0.1, 0.5, 0.9), np.random.default_rng(0),
+                               graph=graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * n
 
 
 def test_statistics_constant_expansion(unit_measure):
@@ -384,6 +439,7 @@ def test_problem_table_pairs_each_problem_with_its_projection(tmp_path):
         (128, "linear:start=6,step=10,cap=65", False),
         (33, "constant:16", True),
         (33, "constant:17", False),
+        (cli.MAX_QUADRATURE_NODES, "constant:8", True),  # the node cap itself loads
         (128, "power:shift=0,exponent=2,offset=0", False),  # m reaches 144 at stage 12
     ],
 )

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -375,3 +377,26 @@ def test_parse_cut_graph_round_trip(demo_graph):
         uq.parse_cut_graph("s 1 0\n", (0.0, 1.0))
     with pytest.raises(ValueError):
         uq.parse_cut_graph("s 1 0 1\n", (0.0, 1.0))  # no source/sink headers
+
+
+# sha256 of repr((nodes, edges, theta_range)) of random_cut_graph(default_rng(seed), 6)
+# on the default (0, 4) range, as built before negative lower ends were repaired
+DEFAULT_RANGE_GRAPHS = {
+    0: "0de5d880bb2ff78f0d1d6874b8d08c1b1c4bb79e8a933844a7f46027b9ed02e0",
+    1: "ad29df30527827d5ad95d70fdf84841971e72cefd9336f0507aa6f8f49688d36",
+    2: "ec40c8de25cd17a550ba632f423a8b50b50f7ee0f63b0c86ca3f67d876e23248",
+    3: "dbb5b15aa5ae3b493f2bf5294596046d37922cc6e9948382799ae821e40247e8",
+    4: "c0224c613e6115bdbdfeedc966f5549fa7e1de4ec4e9c8751c09713edf1601f0",
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_cut_graph_builds_on_a_negative_lower_end(seed):
+    g = random_cut_graph(np.random.default_rng(seed), 6, theta_range=(-3.0, 1.0))
+    assert g.theta_range == (-3.0, 1.0)
+    assert min(base + slope * t for *_, base, slope in g.edges for t in (-3.0, 1.0)) >= 0
+    # the repair draws nothing: the same stream gives the same topology
+    same = random_cut_graph(np.random.default_rng(seed), 6)
+    assert [e[:2] for e in g.edges] == [e[:2] for e in same.edges]
+    digest = hashlib.sha256(repr((same.nodes, same.edges, same.theta_range)).encode())
+    assert digest.hexdigest() == DEFAULT_RANGE_GRAPHS[seed]
