@@ -47,7 +47,7 @@ class ConfigError(Exception):
 # -- Config parsing -------------------------------------------------------------
 
 
-_SCHEDULE_KEYS = {"linear": {"start", "step", "cap"}, "power": {"shift", "exponent", "offset"}}
+_SCHEDULE_KEYS = {"linear": ["cap", "start", "step"], "power": ["exponent", "offset", "shift"]}
 
 
 def _parse_m_schedule(text: str) -> Callable[[int], int]:
@@ -56,30 +56,26 @@ def _parse_m_schedule(text: str) -> Callable[[int], int]:
     ``constant:M``                      m_j = M
     ``linear:start=A,step=B,cap=C``     m_j = min(A + B*(j-1), C)
     ``power:shift=S,exponent=P,offset=O``  m_j = round((j+S)**P + O), S > -1
+
+    Raises ValueError, saying why, for any other text.
     """
     kind, _, rest = text.partition(":")
-    try:
-        if kind == "constant":
-            m = int(rest)
-            return lambda j: m
-        pairs = [kv.split("=") for kv in rest.split(",")] if rest else []
-        params = dict(pairs)
-        unknown = params.keys() - _SCHEDULE_KEYS.get(kind, params.keys())
-        _require(not unknown, "rsg.m_schedule", f"unknown {kind} key(s) {sorted(unknown)}")
-        keys = [key for key, _ in pairs]
-        repeated = sorted({key for key in keys if keys.count(key) > 1})
-        _require(not repeated, "rsg.m_schedule", f"repeated {kind} key(s) {repeated}")
-        if kind == "linear":
-            a, b_, c = int(params["start"]), int(params["step"]), int(params["cap"])
-            return lambda j: min(a + b_ * (j - 1), c)
-        if kind == "power":
-            s, p_, o = float(params["shift"]), float(params["exponent"]), float(params["offset"])
-            _require(np.isfinite([s, p_, o]).all() and s > -1, "rsg.m_schedule",
-                     "power needs finite values and shift > -1")
-            return lambda j: int(round((j + s) ** p_ + o))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"rsg.m_schedule: cannot parse {text!r} ({exc})") from exc
-    raise ConfigError(f"rsg.m_schedule: unknown schedule kind {kind!r}")
+    if kind == "constant":
+        m = int(rest)
+        return lambda j: m
+    if kind not in _SCHEDULE_KEYS:
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    pairs = [kv.split("=") for kv in rest.split(",")]
+    if sorted(key for key, _ in pairs) != _SCHEDULE_KEYS[kind]:
+        raise ValueError(f"{kind} takes each of the keys {', '.join(_SCHEDULE_KEYS[kind])} once")
+    params = dict(pairs)
+    if kind == "linear":
+        a, b_, c = int(params["start"]), int(params["step"]), int(params["cap"])
+        return lambda j: min(a + b_ * (j - 1), c)
+    s, p_, o = float(params["shift"]), float(params["exponent"]), float(params["offset"])
+    if not (np.isfinite([s, p_, o]).all() and s > -1):
+        raise ValueError("power needs finite values and shift > -1")
+    return lambda j: int(round((j + s) ** p_ + o))
 
 
 FAMILIES = {"legendre": bs.legendre_family, "piecewise": bs.piecewise_family}
@@ -87,6 +83,49 @@ FAMILIES = {"legendre": bs.legendre_family, "piecewise": bs.piecewise_family}
 # The Gauss-Legendre rule is an eigensolve of an n x n matrix: 1024 nodes take
 # about 0.2 s and 18 MB, 5000 nodes 6-7 s and 200 MB.
 MAX_QUADRATURE_NODES = 1024
+
+# RsgConfig evaluates the schedule once per stage when the config loads, and
+# outer_loops * k is that stage count: 2 * 10**6 stages take 1.1 s and 64 MB.
+# The demos run 200.
+MAX_STAGES = 100_000
+
+REQUIRED = object()  # the FIELDS default of a key every config must set
+_ANY = ("", lambda v: True)
+_AT_LEAST_1 = ("must be >= 1", lambda v: v >= 1)
+_POSITIVE = ("must be > 0", lambda v: v > 0)
+
+# section.key -> (parser of the value text; the default text, REQUIRED, or None
+# for an optional key that stays unset; (rule, test) the parsed value must
+# pass). These are the only legal keys, and _field reads each one through its
+# row after requiring every float in the parsed value to be finite.
+FIELDS = {
+    "problem.kind": (str, REQUIRED, ("must be quadratic or mincut:<edge-list path>",
+                                     lambda v: v == "quadratic" or v.startswith("mincut:"))),
+    "problem.mu": (float, "1.0", _ANY),
+    "problem.l": (float, "50.0", _ANY),
+    "measure.a": (float, REQUIRED, _ANY),
+    "measure.b": (float, REQUIRED, _ANY),
+    "measure.quadrature_nodes": (int, "128", (f"must lie in [1, {MAX_QUADRATURE_NODES}]",
+                                              lambda v: 1 <= v <= MAX_QUADRATURE_NODES)),
+    "basis.kind": (str, REQUIRED, (f"must be {' or '.join(FAMILIES)}", lambda v: v in FAMILIES)),
+    "rsg.eps0": (float, REQUIRED, _ANY),
+    "rsg.eps_target": (float, REQUIRED, _POSITIVE),
+    "rsg.alpha": (float, REQUIRED, ("must be > 1", lambda v: v > 1)),
+    "rsg.t": (int, REQUIRED, _AT_LEAST_1),
+    "rsg.k": (int, REQUIRED, _AT_LEAST_1),
+    "rsg.outer_loops": (int, REQUIRED, _AT_LEAST_1),
+    "rsg.m_schedule": (_parse_m_schedule, REQUIRED, _ANY),
+    "rsg.theta_samples": (int, "64", _AT_LEAST_1),
+    "rsg.noise_sigma": (float, "0.0", ("must be >= 0", lambda v: v >= 0)),
+    "rsg.seed": (int, "0", ("must be >= 0", lambda v: v >= 0)),
+    "rsg.initial_step": (float, None, _POSITIVE),
+    "stats.samples": (int, "10000", _AT_LEAST_1),
+    "stats.quantiles": (lambda text: tuple(float(q) for q in text.split(",") if q.strip()),
+                        "0.1,0.5,0.9", ("values must lie in [0, 1]",
+                                        lambda v: all(0 <= q <= 1 for q in v))),
+    "stats.round_eps": (float, "0.1", ("must lie in (0, 1)", lambda v: 0 < v < 1)),
+    "output.directory": (str, "out", _ANY),
+}
 
 
 # problem kind -> (the projection kind its ProblemSpec carries, which the basis
@@ -123,17 +162,11 @@ class ExperimentConfig:
     def reference_values(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
         return PROBLEMS[self.problem_kind][2](self)
 
-
-def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=None):
-    if not cp.has_option(section, key):
-        if default is not None:
-            return default
-        raise ConfigError(f"{section}.{key}: missing required field")
-    raw = cp.get(section, key)
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
+    def statistics(self, e: bs.Expansion) -> StatsReport:
+        """The stats report of ``e``, drawn from the seed's statistics stream."""
+        rng = np.random.default_rng([self.rsg.seed, 1])
+        return compute_statistics(e, self.measure, self.stats_samples, self.stats_quantiles, rng,
+                                  round_eps=self.round_eps, graph=self.graph)
 
 
 def _require(ok: bool, field: str, rule: str):
@@ -141,126 +174,96 @@ def _require(ok: bool, field: str, rule: str):
         raise ConfigError(f"{field}: {rule}")
 
 
+def _field(cp: configparser.ConfigParser, name: str, value=None):
+    """The value of ``name`` (``section.key``) through its FIELDS row: parsed
+    from the config, or ``value`` when given; every float finite; the rule met."""
+    parse, default, (rule, test) = FIELDS[name]
+    if value is None:
+        raw = cp.get(*name.split("."), fallback=default)
+        if raw is REQUIRED:
+            raise ConfigError(f"{name}: missing required field")
+        if raw is None:
+            return None
+        try:
+            value = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: cannot parse {raw!r} ({exc})") from exc
+    floats = [v for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, float)]
+    _require(np.isfinite(floats).all(), name, "must be finite")
+    _require(test(value), name, rule)
+    return value
+
+
 def load_config(path: Path, seed_override: Optional[int] = None,
                 out_override: Optional[Path] = None) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config parse failure: {exc}") from exc
+    for section in cp.sections():
+        for key in cp.options(section):
+            _require(f"{section}.{key}" in FIELDS, f"{section}.{key}", "unknown key")
+        _require(any(name.startswith(f"{section}.") for name in FIELDS), section, "unknown section")
 
-    a = _get(cp, "measure", "a", float)
-    b = _get(cp, "measure", "b", float)
-    nodes = _get(cp, "measure", "quadrature_nodes", int, 128)
-    _require(1 <= nodes <= MAX_QUADRATURE_NODES, "measure.quadrature_nodes",
-             f"must lie in [1, {MAX_QUADRATURE_NODES}]")
-    try:
-        measure = ThetaMeasure(a, b, quadrature_nodes=nodes)
-    except ValueError as exc:
-        raise ConfigError(f"measure: {exc}") from exc
-
-    kind = _get(cp, "problem", "kind", str)
-    graph = None
-    mu = l_max = 0.0
-    if kind == "quadratic":
-        mu = _get(cp, "problem", "mu", float, 1.0)
-        l_max = _get(cp, "problem", "l", float, 50.0)
-        _require(0 < mu <= l_max, "problem.mu", "need 0 < mu <= l")
-    elif kind.startswith("mincut:"):
-        edge_path = (path.parent / kind.split(":", 1)[1]).resolve()
-        if not edge_path.is_file():
-            raise ConfigError(f"problem.kind: edge list not found: {edge_path}")
+    a, b = _field(cp, "measure.a"), _field(cp, "measure.b")
+    _require(a < b, "measure.b", "need a < b")
+    measure = ThetaMeasure(a, b, quadrature_nodes=_field(cp, "measure.quadrature_nodes"))
+    kind, graph = _field(cp, "problem.kind"), None
+    mu, l_max = _field(cp, "problem.mu"), _field(cp, "problem.l")
+    _require(0 < mu <= l_max, "problem.mu", "need 0 < mu <= l")
+    if kind != "quadratic":
+        edge_path = path.parent / kind[len("mincut:"):]
         try:
+            _require(edge_path.is_file(), "problem.kind", f"edge list not found: {edge_path}")
             graph = parse_cut_graph(edge_path.read_text(), (a, b))
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"problem.kind: bad edge list: {exc}") from exc
         kind = "mincut"
-    else:
-        raise ConfigError(f"problem.kind: unknown problem {kind!r}")
-
-    basis_kind = _get(cp, "basis", "kind", str)
-    _require(basis_kind in FAMILIES, "basis.kind", f"unknown basis {basis_kind!r}")
-
-    sigma = _get(cp, "rsg", "noise_sigma", float, 0.0)
-    _require(np.isfinite(sigma) and sigma >= 0, "rsg.noise_sigma", "must be finite and >= 0")
-    noise = NoiseModel("additive_gaussian", sigma) if sigma > 0 else NoiseModel()
-    theta_samples = _get(cp, "rsg", "theta_samples", int, 64)
-    _require(theta_samples >= 1, "rsg.theta_samples", "must be >= 1")
-    oracle = OracleConfig(theta_samples_per_call=theta_samples, noise=noise)
-    seed = seed_override if seed_override is not None else _get(cp, "rsg", "seed", int, 0)
-    _require(seed >= 0, "rsg.seed", "must be >= 0")
-    initial_step = None
-    if cp.has_option("rsg", "initial_step"):
-        initial_step = _get(cp, "rsg", "initial_step", float)
-        _require(np.isfinite(initial_step) and initial_step > 0, "rsg.initial_step",
-                 "must be finite and > 0")
-    step_size = {key: _get(cp, "rsg", key, float) for key in ("eps0", "eps_target", "alpha")}
-    for key, value in step_size.items():
-        _require(np.isfinite(value), f"rsg.{key}", "must be finite")
-    try:
-        rsg = RsgConfig(
-            **step_size,
-            t=_get(cp, "rsg", "t", int),
-            k_stages=_get(cp, "rsg", "k", int),
-            outer_loops=_get(cp, "rsg", "outer_loops", int),
-            m_schedule=_parse_m_schedule(_get(cp, "rsg", "m_schedule", str)),
-            oracle=oracle,
-            seed=seed,
-            initial_step=initial_step,
-        )
-    except ArithmeticError as exc:
-        raise ConfigError(f"rsg.m_schedule: the schedule overflows ({exc})") from exc
-    except ValueError as exc:
-        raise ConfigError(f"rsg: {exc}") from exc
-
-    quants = _get(cp, "stats", "quantiles", str, "0.1,0.5,0.9")
-    try:
-        quantiles = tuple(float(q) for q in quants.split(",") if q.strip())
-    except ValueError as exc:
-        raise ConfigError(f"stats.quantiles: cannot parse {quants!r}") from exc
-    _require(all(0 <= q <= 1 for q in quantiles), "stats.quantiles", "values must lie in [0, 1]")
-
-    if out_override is not None:
-        out_dir = Path(out_override)  # shell-relative, as the flag suggests
-    else:
-        out_dir = Path(_get(cp, "output", "directory", str, "out"))
-        if not out_dir.is_absolute():
-            out_dir = path.parent / out_dir
-
-    stats_samples = _get(cp, "stats", "samples", int, 10000)
-    _require(stats_samples >= 1, "stats.samples", "must be >= 1")
-    round_eps = _get(cp, "stats", "round_eps", float, 0.1)
-    _require(0 < round_eps < 1, "stats.round_eps", "must lie in (0, 1)")
-
-    cfg = ExperimentConfig(
-        problem_kind=kind,
-        measure=measure,
-        basis_kind=basis_kind,
-        rsg=rsg,
-        stats_samples=stats_samples,
-        stats_quantiles=quantiles,
-        round_eps=round_eps,
-        out_dir=Path(out_dir),
-        mu=mu,
-        l_max=l_max,
-        graph=graph,
-    )
+    basis_kind = _field(cp, "basis.kind")
     projection = PROBLEMS[kind][0]
     paired = [name for name, f in FAMILIES.items() if f.projection == projection]
     _require(basis_kind in paired, "basis.kind",
              f"the {kind} problem's {projection} projection needs the {' or '.join(paired)} basis")
-    top = max(rsg.m_schedule(j) for j in range(1, rsg.outer_loops * rsg.k_stages + 1))
-    limit = cfg.build_family().max_level
+
+    eps0, eps_target = _field(cp, "rsg.eps0"), _field(cp, "rsg.eps_target")
+    _require(eps0 > eps_target, "rsg.eps0", "must exceed rsg.eps_target")
+    k, loops = _field(cp, "rsg.k"), _field(cp, "rsg.outer_loops")
+    _require(loops * k <= MAX_STAGES, "rsg.outer_loops",
+             f"outer_loops * k = {loops * k} stages, above the cap of {MAX_STAGES}")
+    sigma = _field(cp, "rsg.noise_sigma")
+    noise = NoiseModel("additive_gaussian", sigma) if sigma > 0 else NoiseModel()
+    oracle = OracleConfig(theta_samples_per_call=_field(cp, "rsg.theta_samples"), noise=noise)
+    schedule, alpha, t = _field(cp, "rsg.m_schedule"), _field(cp, "rsg.alpha"), _field(cp, "rsg.t")
+    seed, step = _field(cp, "rsg.seed", seed_override), _field(cp, "rsg.initial_step")
+    try:
+        rsg = RsgConfig(eps0=eps0, eps_target=eps_target, alpha=alpha, t=t, k_stages=k,
+                        outer_loops=loops, m_schedule=schedule, oracle=oracle, seed=seed,
+                        initial_step=step)
+    except ArithmeticError as exc:
+        raise ConfigError(f"rsg.m_schedule: the schedule overflows ({exc})") from exc
+    except ValueError as exc:  # the table leaves only the schedule's own checks
+        raise ConfigError(f"rsg.m_schedule: {exc}") from exc
+    top = schedule(loops * k)  # the largest m, as RsgConfig found the schedule monotone
+    limit = FAMILIES[basis_kind](measure).max_level
     _require(top <= limit, "rsg.m_schedule",
              f"reaches m={top}, above the {basis_kind} basis's largest level {limit}")
-    return cfg
+
+    out_dir = path.parent / _field(cp, "output.directory")
+    if out_override is not None:
+        out_dir = Path(out_override)  # shell-relative, as the flag suggests
+    return ExperimentConfig(
+        problem_kind=kind, measure=measure, basis_kind=basis_kind, rsg=rsg,
+        stats_samples=_field(cp, "stats.samples"), stats_quantiles=_field(cp, "stats.quantiles"),
+        round_eps=_field(cp, "stats.round_eps"), out_dir=out_dir, mu=mu, l_max=l_max, graph=graph,
+    )
 
 
 def _check_expansion(e: bs.Expansion, cfg: ExperimentConfig):
-    """ConfigError unless the expansion's kind, support, rule and q fit the config."""
+    """ConfigError unless the expansion's kind, support, rule, m and q fit the config."""
     kind = cfg.build_family().kind
     if e.basis.kind != kind:
         raise ConfigError(f"expansion kind: {e.basis.kind} does not match basis.kind ({kind})")
@@ -273,6 +276,8 @@ def _check_expansion(e: bs.Expansion, cfg: ExperimentConfig):
     nodes, expected = e.basis.measure.quadrature_nodes, cfg.measure.quadrature_nodes
     _require(nodes == expected, "expansion quadrature_nodes",
              f"{nodes} does not match measure.quadrature_nodes ({expected})")
+    limit = cfg.build_family().max_level
+    _require(e.m <= limit, "expansion shape", f"{e.m} rows, above the basis's largest level {limit}")
     q = cfg.build_problem().dimension
     if e.q != q:
         raise ConfigError(f"expansion q: {e.q} does not match the problem dimension {q}")
@@ -406,16 +411,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     final, trace = restarted_outer(
         problem, cfg.rsg, family, reference_values=cfg.reference_values()
     )
-    stats_rng = np.random.default_rng([cfg.rsg.seed, 1])
-    report = compute_statistics(
-        final,
-        cfg.measure,
-        cfg.stats_samples,
-        cfg.stats_quantiles,
-        stats_rng,
-        round_eps=cfg.round_eps,
-        graph=cfg.graph,
-    )
+    report = cfg.statistics(final)
     out = {
         "trace": cfg.out_dir / "trace.csv",
         "expansion": cfg.out_dir / "expansion.txt",
@@ -449,13 +445,8 @@ def _cmd_stats(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"expansion: {exc}") from exc
     _check_expansion(e, cfg)
-    rng = np.random.default_rng([cfg.rsg.seed, 1])
-    report = compute_statistics(
-        e, cfg.measure, cfg.stats_samples, cfg.stats_quantiles, rng,
-        round_eps=cfg.round_eps, graph=cfg.graph,
-    )
     target = cfg.out_dir / "stats.json"
-    _write_all({target: report.to_json()})
+    _write_all({target: cfg.statistics(e).to_json()})
     print(target)
     return 0
 
@@ -479,18 +470,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         description="theta-dependent optimisation experiments (run / stats / curve)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None)
+    seeded.add_argument("--out", default=None)
 
-    run_p = sub.add_parser("run", help="run an experiment from a config file")
+    run_p = sub.add_parser("run", parents=[seeded], help="run an experiment from a config file")
     run_p.add_argument("config")
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--out", default=None)
     run_p.set_defaults(fn=_cmd_run)
 
-    stats_p = sub.add_parser("stats", help="statistics report for a saved expansion")
+    stats_p = sub.add_parser("stats", parents=[seeded],
+                             help="statistics report for a saved expansion")
     stats_p.add_argument("expansion")
     stats_p.add_argument("config")
-    stats_p.add_argument("--seed", type=int, default=None)
-    stats_p.add_argument("--out", default=None)
     stats_p.set_defaults(fn=_cmd_stats)
 
     curve_p = sub.add_parser("curve", help="emit the error curve for a trace")

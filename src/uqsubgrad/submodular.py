@@ -51,9 +51,10 @@ class CutGraph:
                 raise ValueError(f"self-loop on {u!r}")
             if u not in self.nodes or v not in self.nodes:
                 raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
-            if min(base + slope * lo, base + slope * hi) < 0:
+            ends = [base + slope * lo, base + slope * hi]
+            if not (np.isfinite(ends).all() and min(ends) >= 0):
                 raise ValueError(
-                    f"edge ({u!r}, {v!r}) weight goes negative on the support"
+                    f"edge ({u!r}, {v!r}) weight goes negative or non-finite on the support"
                 )
 
     @property

@@ -77,9 +77,25 @@ def test_config_errors_name_the_field(tmp_path):
         ("stats", "round_eps", "1.5"),
         ("measure", "quadrature_nodes", "0"),
         ("measure", "quadrature_nodes", str(cli.MAX_QUADRATURE_NODES + 1)),
+        ("problem", "l", "inf"),
+        ("problem", "mu", "inf"),
+        ("measure", "a", "nan"),
+        ("rsg", "k", "0"),
+        ("rsg", "t", "0"),
+        ("rsg", "outer_loops", "0"),
+        ("rsg", "alpha", "1"),
+        ("rsg", "eps_target", "0"),
+        ("rsg", "outer_loops", str(cli.MAX_STAGES // 4 + 1)),  # k = 4: the first count past the cap
+        ("rsg", "noise_sgima", "0.5"),
+        ("stat", "samples", "2000"),
+        ("rsg", "seed", "5%"),  # a plain character, not interpolation syntax
     ],
 )
-def test_bad_field_exits_2_before_solving(tmp_path, capsys, section, key, value):
+def test_bad_field_exits_2_before_solving(tmp_path, capsys, monkeypatch, section, key, value):
+    def solve(*args, **kwargs):
+        raise AssertionError("the solver must not start")
+
+    monkeypatch.setattr(cli, "restarted_outer", solve)
     cfg = small_quadratic_cfg(tmp_path, **{section: {key: value}})
     with pytest.raises(cli.ConfigError, match=f"{section}.{key}"):
         cli.load_config(cfg)
@@ -87,6 +103,24 @@ def test_bad_field_exits_2_before_solving(tmp_path, capsys, section, key, value)
     assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("mu", "-5"), ("l", "x")])
+def test_unused_key_of_a_mincut_config_is_still_checked(tmp_path, capsys, key, value):
+    text = (DEMOS / "mincut.cfg").read_text().replace("[measure]", f"{key} = {value}\n[measure]")
+    cfg = tmp_path / "mincut.cfg"
+    cfg.write_text(text)
+    (tmp_path / "mincut_chain.edges").write_text((DEMOS / "mincut_chain.edges").read_text())
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"problem.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stage_cap_itself_loads(tmp_path):
+    cfg = small_quadratic_cfg(tmp_path, rsg={"outer_loops": str(cli.MAX_STAGES // 4)})
+    rsg = cli.load_config(cfg).rsg
+    assert rsg.outer_loops * rsg.k_stages == cli.MAX_STAGES
 
 
 def test_m_schedule_grammar():
@@ -189,6 +223,8 @@ _PIECEWISE_OK = _expansion_text("piecewise", 0.0, 4.0, 2)
         # the statistics would build the file's own 3000-node rule
         ("quadratic", _expansion_text("legendre", 0.0, 2 * np.pi, 2).replace(
             "quadrature_nodes: 128", "quadrature_nodes: 3000"), "expansion quadrature_nodes"),
+        # 65 Legendre rows need more than the config's 128 nodes
+        ("quadratic", _expansion_text("legendre", 0.0, 2 * np.pi, 2, m=65), "expansion shape"),
         ("mincut", _PIECEWISE_OK.replace("quadrature_nodes: 128", "quadrature_nodes: 64"),
          "expansion quadrature_nodes"),
     ],

@@ -53,6 +53,9 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         # weight goes negative at theta = 4
         uq.CutGraph(("s", "a", "t"), "s", "t", (("s", "a", 1.0, -1.0),), (0.0, 4.0))
+    for base, slope in [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (1e308, 1e308)]:
+        with pytest.raises(ValueError, match="non-finite"):
+            uq.CutGraph(("s", "a", "t"), "s", "t", (("s", "a", base, slope),), (0.0, 4.0))
 
 
 def test_lovasz_matches_closed_form_fixture(demo_setfn):
