@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import tempfile
@@ -89,6 +90,12 @@ MAX_QUADRATURE_NODES = 1024
 # The demos run 200.
 MAX_STAGES = 100_000
 
+# A stage draws its t * theta_samples thetas at once and holds them with their
+# design, (t, theta_samples, m) doubles for a Legendre basis: the cap on
+# t * theta_samples * (m + 1) is 128 MB. The draw is not chunked, since that
+# would change the seeded noise stream.
+MAX_STAGE_DOUBLES = 2**24
+
 REQUIRED = object()  # the FIELDS default of a key every config must set
 _ANY = ("", lambda v: True)
 _AT_LEAST_1 = ("must be >= 1", lambda v: v >= 1)
@@ -121,8 +128,8 @@ FIELDS = {
     "rsg.initial_step": (float, None, _POSITIVE),
     "stats.samples": (int, "10000", _AT_LEAST_1),
     "stats.quantiles": (lambda text: tuple(float(q) for q in text.split(",") if q.strip()),
-                        "0.1,0.5,0.9", ("values must lie in [0, 1]",
-                                        lambda v: all(0 <= q <= 1 for q in v))),
+                        "0.1,0.5,0.9", ("needs one or more values, each in [0, 1]",
+                                        lambda v: len(v) > 0 and all(0 <= q <= 1 for q in v))),
     "stats.round_eps": (float, "0.1", ("must lie in (0, 1)", lambda v: 0 < v < 1)),
     "output.directory": (str, "out", _ANY),
 }
@@ -251,6 +258,9 @@ def load_config(path: Path, seed_override: Optional[int] = None,
     limit = FAMILIES[basis_kind](measure).max_level
     _require(top <= limit, "rsg.m_schedule",
              f"reaches m={top}, above the {basis_kind} basis's largest level {limit}")
+    block = t * oracle.theta_samples_per_call * (top + 1)
+    _require(block <= MAX_STAGE_DOUBLES, "rsg.t", f"t * theta_samples * (m + 1) = {block} "
+             f"doubles at m={top}, above the stage cap of {MAX_STAGE_DOUBLES}")
 
     out_dir = path.parent / _field(cp, "output.directory")
     if out_override is not None:
@@ -304,6 +314,29 @@ class StatsReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _linear_quantiles(col: np.ndarray, quantiles: tuple[float, ...]) -> list[float]:
+    """``np.quantile(col, quantiles)`` bit for bit by numpy's default
+    ``linear`` rule (Hyndman & Fan type 7), partitioning ``col`` in place.
+
+    np.quantile is not called because its np.unique imports numpy.ma on first
+    use, which is more resident memory than the rest of the statistics phase.
+    """
+    last = len(col) - 1
+    virtual = [last * q for q in quantiles]
+    # numpy's neighbours: an index at or past the last element takes it (-1)
+    lo = [-1 if v >= last else math.floor(v) for v in virtual]
+    hi = [-1 if v >= last else i + 1 for v, i in zip(virtual, lo)]
+    col.partition(sorted({0, -1, *lo, *hi}))  # numpy's kth set, so its tie order
+    if np.isnan(col[-1]):  # partition puts a NaN last, and numpy returns it
+        return [float(col[-1])] * len(quantiles)
+    out = []
+    for v, i, j in zip(virtual, lo, hi):
+        a, b, gamma = float(col[i]), float(col[j]), v - i  # numpy's gamma, -1 included
+        d = b - a
+        out.append(b - d * (1 - gamma) if gamma >= 0.5 else a + d * gamma)
+    return out
+
+
 def compute_statistics(
     e: bs.Expansion,
     measure: ThetaMeasure,
@@ -329,9 +362,9 @@ def compute_statistics(
     thetas = rng.uniform(measure.a, measure.b, size=n)
     rows, index = e.basis.sample_rows(e, thetas)
     # one component at a time, partitioning its gathered copy in place: the
-    # bytes of np.quantile(rows[index], axis=0)
-    columns = [np.quantile(rows[index, j], quantiles, overwrite_input=True) for j in range(e.q)]
-    qs = {repr(float(q)): [float(col[i]) for col in columns] for i, q in enumerate(quantiles)}
+    # bytes of np.quantile(rows[index], quantiles, axis=0)
+    columns = [_linear_quantiles(rows[index, j], quantiles) for j in range(e.q)]
+    qs = {repr(float(q)): [col[i] for col in columns] for i, q in enumerate(quantiles)}
 
     freqs = None
     if graph is not None:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -86,6 +88,8 @@ def test_config_errors_name_the_field(tmp_path):
         ("rsg", "alpha", "1"),
         ("rsg", "eps_target", "0"),
         ("rsg", "outer_loops", str(cli.MAX_STAGES // 4 + 1)),  # k = 4: the first count past the cap
+        ("rsg", "t", str(cli.MAX_STAGE_DOUBLES // (16 * 13) + 1)),  # 16 thetas, m <= 12: the first t past
+        ("stats", "quantiles", ""),
         ("rsg", "noise_sgima", "0.5"),
         ("stat", "samples", "2000"),
         ("rsg", "seed", "5%"),  # a plain character, not interpolation syntax
@@ -121,6 +125,10 @@ def test_stage_cap_itself_loads(tmp_path):
     cfg = small_quadratic_cfg(tmp_path, rsg={"outer_loops": str(cli.MAX_STAGES // 4)})
     rsg = cli.load_config(cfg).rsg
     assert rsg.outer_loops * rsg.k_stages == cli.MAX_STAGES
+    # 16 thetas and m = 15: a stage of exactly MAX_STAGE_DOUBLES
+    t = cli.MAX_STAGE_DOUBLES // (16 * 16)
+    cfg = small_quadratic_cfg(tmp_path, rsg={"t": str(t), "m_schedule": "constant:15"})
+    assert cli.load_config(cfg).rsg.t * 16 * 16 == cli.MAX_STAGE_DOUBLES
 
 
 def test_m_schedule_grammar():
@@ -282,6 +290,7 @@ def quantiles_of_all_samples(e, measure, n, quantiles, rng):
 
 def test_per_component_quantiles_equal_the_axis_0_call_bitwise(cut_measure):
     rng = np.random.default_rng(18)
+    cases = []
     for case in range(60):
         part = uq.Partition(tuple(np.sort(rng.uniform(0.0, 4.0, size=int(rng.integers(0, 30))))))
         q = int(rng.integers(1, 5))
@@ -291,11 +300,49 @@ def test_per_component_quantiles_equal_the_axis_0_call_bitwise(cut_measure):
         if case % 3 == 0:
             e = bs.Expansion(rng.standard_normal((5, q)), uq.legendre_family(cut_measure))
         quantiles = tuple(rng.choice([0.0, 0.1, 0.25, 0.5, 0.9, 1.0, 0.333], size=3))
-        n = int(rng.integers(1, 3000))
-        rep = cli.compute_statistics(e, cut_measure, n, quantiles, np.random.default_rng(case))
-        ref = quantiles_of_all_samples(e, cut_measure, n, quantiles, np.random.default_rng(case))
+        cases.append((e, quantiles, int(rng.integers(1, 3000))))
+    # one and two samples, the end quantiles, an all-equal column (one cell),
+    # columns of -0.0 and 0.0 only, and Legendre sums that overflow to +-inf
+    ends = (0.0, 1.0, 0.5, 0.1, 0.9)
+    one_cell = bs.Expansion([[1.5, -0.0, 0.0]], uq.piecewise_family(cut_measure, uq.Partition(())))
+    part = uq.Partition((0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5))
+    zeros = bs.Expansion(rng.choice([-0.0, 0.0], size=(8, 3)), uq.piecewise_family(cut_measure, part))
+    huge = bs.Expansion([[0.0, 1.0], [1.5e308, -1.5e308], [1.5e308, 1.5e308]],
+                        uq.legendre_family(cut_measure))
+    cases += [(e, ends, n) for n in (1, 2, 3, 50) for e in (one_cell, zeros, huge)]
+    for case, (e, quantiles, n) in enumerate(cases):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = cli.compute_statistics(e, cut_measure, n, quantiles, np.random.default_rng(case))
+            ref = quantiles_of_all_samples(e, cut_measure, n, quantiles, np.random.default_rng(case))
         got = np.array([rep.quantiles[repr(float(x))] for x in quantiles])
         assert got.tobytes() == ref.tobytes()
+    # a NaN sample, which numpy returns for every quantile
+    col = np.array([1.0, np.nan, -0.0, 2.0])
+    assert np.array(cli._linear_quantiles(col.copy(), ends)).tobytes() == np.quantile(col, ends).tobytes()
+
+
+# a fresh interpreter: whether numpy.ma is imported once cli.main returns
+RUN_AND_LIST_NUMPY_MA = """
+import sys
+sys.path[:0] = sys.argv[1:2]
+from uqsubgrad import cli
+code = cli.main(["run", sys.argv[2], "--out", sys.argv[3]])
+print("numpy.ma" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("demo", ["quadratic.cfg", "mincut.cfg"])
+def test_run_does_not_import_numpy_ma(tmp_path, demo):
+    """numpy.ma (np.quantile imports it through np.unique) would be the
+    statistics phase's largest share of a run's resident memory."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_AND_LIST_NUMPY_MA, str(src), str(DEMOS / demo), str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("family", ["legendre", "piecewise"])
