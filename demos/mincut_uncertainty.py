@@ -54,8 +54,8 @@ for r in trace.rows:
         print(f"  loop {r.outer_i:2d}  m={r.m:3d}  err^2={r.fn_error_pi_sq:.3e}")
 
 # ---------------------------------------------------------------
-# Round back to discrete cuts: threshold at 1 - eps per sampled theta
-# and tally which cut each theta selects.
+# Round back to discrete cuts: threshold at 1 - eps at a few sampled
+# thetas, then per cell, tallying each cut by the measure of its cells.
 # ---------------------------------------------------------------
 rng = np.random.default_rng(7)
 thetas = np.sort(rng.uniform(0.0, 4.0, size=8))
@@ -70,10 +70,7 @@ for theta in thetas:
 
 from uqsubgrad.cli import compute_statistics
 
-report = compute_statistics(
-    final, measure, 10_000, (0.5,), np.random.default_rng(3),
-    round_eps=0.1, graph=graph,
-)
+report = compute_statistics(final, 10_000, (0.5,), round_eps=0.1, graph=graph)
 print("\ndistribution of the rounded cut over theta ~ pi:")
 for cut, freq in report.cut_frequencies.items():
     print(f"  sink side {{{cut}}}: {freq:.3f}")

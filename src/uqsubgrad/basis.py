@@ -95,14 +95,6 @@ def refine_partition(
     return Partition(tuple(bp))
 
 
-# Thetas per block of BasisFamily.sample_rows. Blocks start at multiples of it
-# and the last one takes the remainder (SAMPLE_BLOCK to 2 * SAMPLE_BLOCK - 1
-# rows), so that with one BLAS thread every block's matrix product gives the
-# bytes of one product over all thetas; a last block of only 1-3 rows can
-# change the last bit.
-SAMPLE_BLOCK = 1024
-
-
 @dataclass(frozen=True)
 class BasisFamily:
     """A basis of L2(pi). ``kind`` is its serialized tag, ``projection`` the
@@ -113,8 +105,8 @@ class BasisFamily:
     ``rule``, ``analyze``, ``tail_norm`` (pi-norm of rows m onward),
     ``kept_rows`` (truncation), ``grow`` and ``reference_tail_norm``. The
     defaults below suit any family: no largest level (``max_level``), a
-    header of kind, support and rule only, and a statistics sample of one
-    synthesized row per theta (``sample_rows``).
+    header of kind, support and rule only, and statistics atoms at n
+    midpoints (``atoms``).
     """
 
     measure: ThetaMeasure
@@ -138,15 +130,15 @@ class BasisFamily:
     def from_header(cls, measure: ThetaMeasure, fields: dict) -> BasisFamily:
         return cls(measure)
 
-    def sample_rows(self, e: Expansion, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, index)`` with ``rows[index] == synthesize(e, thetas)``:
-        here one row per theta, synthesized a block at a time."""
-        n = len(thetas)
-        rows = np.empty((n, e.q))
-        ends = [*range(SAMPLE_BLOCK, n - SAMPLE_BLOCK + 1, SAMPLE_BLOCK), n]
-        for lo, hi in zip([0] + ends, ends):
-            rows[lo:hi] = synthesize(e, thetas[lo:hi])
-        return rows, np.arange(n)
+    def atoms(self, e: Expansion, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, weights)`` of x(theta)'s distribution: here e at the
+        midpoints of n equal cells, each weighing 1/n, synthesized 1024
+        midpoints at a time, so that no (n, m) design is held."""
+        mes, values = self.measure, np.empty((n, e.q))
+        for lo in range(0, n, 1024):
+            mids = np.arange(lo, min(lo + 1024, n)) + 0.5
+            values[lo:lo + len(mids)] = synthesize(e, mes.a + (mes.b - mes.a) / n * mids)
+        return values, np.full(n, 1.0 / n)
 
 
 @dataclass(frozen=True)
@@ -317,9 +309,9 @@ class PiecewiseFamily(BasisFamily):
         bps = tuple(float(v) for v in fields.get("breakpoints", "").split())
         return cls(measure, Partition(bps))
 
-    def sample_rows(self, e: Expansion, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The cell values and each theta's cell."""
-        return e.coefficients, cell_index(self.partition, self.measure, thetas)
+    def atoms(self, e: Expansion, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The cell values, each weighing its cell's measure: exact, whatever n."""
+        return e.coefficients, cell_measures(self.partition, self.measure)
 
 
 legendre_family = LegendreFamily

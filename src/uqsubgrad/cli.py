@@ -6,7 +6,7 @@ Subcommands
     Run the configured experiment; writes trace.csv, expansion.txt and
     stats.json into the output directory, all three or none (temp + rename,
     rolled back on a failure).
-``uqsubgrad stats <expansion-file> <config> [--seed N] [--out DIR]``
+``uqsubgrad stats <expansion-file> <config> [--out DIR]``
     Recompute the statistics report for a saved expansion.
 ``uqsubgrad curve <trace.csv> [--out FILE]``
     Emit the plot-ready error curve (one row per inner-subroutine call).
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 import tempfile
@@ -91,9 +90,10 @@ MAX_QUADRATURE_NODES = 1024
 MAX_STAGES = 100_000
 
 # A stage draws its t * theta_samples thetas at once and holds them with their
-# design, (t, theta_samples, m) doubles for a Legendre basis: the cap on
-# t * theta_samples * (m + 1) is 128 MB. The draw is not chunked, since that
-# would change the seeded noise stream.
+# design, (t, theta_samples, m) doubles for a Legendre basis, and with noise on
+# their (t, theta_samples, q) noise: the cap on t * theta_samples * (m + 1),
+# plus q once the problem is built, is 128 MB. The draw is not chunked, since
+# that would change the seeded noise stream.
 MAX_STAGE_DOUBLES = 2**24
 
 REQUIRED = object()  # the FIELDS default of a key every config must set
@@ -127,9 +127,9 @@ FIELDS = {
     "rsg.seed": (int, "0", ("must be >= 0", lambda v: v >= 0)),
     "rsg.initial_step": (float, None, _POSITIVE),
     "stats.samples": (int, "10000", _AT_LEAST_1),
-    "stats.quantiles": (lambda text: tuple(float(q) for q in text.split(",") if q.strip()),
-                        "0.1,0.5,0.9", ("needs one or more values, each in [0, 1]",
-                                        lambda v: len(v) > 0 and all(0 <= q <= 1 for q in v))),
+    "stats.quantiles": (lambda text: tuple(float(q) for q in text.split(",")), "0.1,0.5,0.9",
+                        ("needs values in [0, 1], none repeated",
+                         lambda v: all(0 <= q <= 1 for q in v) and len(set(v)) == len(v))),
     "stats.round_eps": (float, "0.1", ("must lie in (0, 1)", lambda v: 0 < v < 1)),
     "output.directory": (str, "out", _ANY),
 }
@@ -170,9 +170,7 @@ class ExperimentConfig:
         return PROBLEMS[self.problem_kind][2](self)
 
     def statistics(self, e: bs.Expansion) -> StatsReport:
-        """The stats report of ``e``, drawn from the seed's statistics stream."""
-        rng = np.random.default_rng([self.rsg.seed, 1])
-        return compute_statistics(e, self.measure, self.stats_samples, self.stats_quantiles, rng,
+        return compute_statistics(e, self.stats_samples, self.stats_quantiles,
                                   round_eps=self.round_eps, graph=self.graph)
 
 
@@ -314,68 +312,45 @@ class StatsReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _linear_quantiles(col: np.ndarray, quantiles: tuple[float, ...]) -> list[float]:
-    """``np.quantile(col, quantiles)`` bit for bit by numpy's default
-    ``linear`` rule (Hyndman & Fan type 7), partitioning ``col`` in place.
-
-    np.quantile is not called because its np.unique imports numpy.ma on first
-    use, which is more resident memory than the rest of the statistics phase.
-    """
-    last = len(col) - 1
-    virtual = [last * q for q in quantiles]
-    # numpy's neighbours: an index at or past the last element takes it (-1)
-    lo = [-1 if v >= last else math.floor(v) for v in virtual]
-    hi = [-1 if v >= last else i + 1 for v, i in zip(virtual, lo)]
-    col.partition(sorted({0, -1, *lo, *hi}))  # numpy's kth set, so its tie order
-    if np.isnan(col[-1]):  # partition puts a NaN last, and numpy returns it
-        return [float(col[-1])] * len(quantiles)
-    out = []
-    for v, i, j in zip(virtual, lo, hi):
-        a, b, gamma = float(col[i]), float(col[j]), v - i  # numpy's gamma, -1 included
-        d = b - a
-        out.append(b - d * (1 - gamma) if gamma >= 0.5 else a + d * gamma)
-    return out
-
-
 def compute_statistics(
     e: bs.Expansion,
-    measure: ThetaMeasure,
     n: int,
     quantiles: tuple[float, ...],
-    rng: np.random.Generator,
     round_eps: float = 0.1,
     graph: Optional[CutGraph] = None,
 ) -> StatsReport:
     """Mean/variance by deterministic quadrature of the synthesized expansion;
-    quantiles from n seeded theta samples; for cut problems every sample is
-    threshold-rounded and the resulting discrete sets tallied (per cell for a
-    piecewise expansion). The samples are held as the family's
-    ``sample_rows``: no (n, m) design, and for a piecewise expansion one row
-    per cell instead of one per sample."""
+    quantiles and, for cut problems, the threshold-rounded cut frequencies
+    from the family's weighted atoms (``atoms(e, n)``). Quantile p of a
+    component is the smallest atom value whose cumulative weight, in stable
+    sorted order, reaches p times the total weight; a NaN atom makes every
+    quantile of its component NaN."""
     if n < 1:
-        raise ValueError("need n >= 1 samples")
+        raise ValueError("need n >= 1 atoms")
     nodes, weights = e.basis.rule()
     vals = bs.synthesize(e, nodes)
     mean = weights @ vals
     var = weights @ vals**2 - mean**2
 
-    thetas = rng.uniform(measure.a, measure.b, size=n)
-    rows, index = e.basis.sample_rows(e, thetas)
-    # one component at a time, partitioning its gathered copy in place: the
-    # bytes of np.quantile(rows[index], quantiles, axis=0)
-    columns = [_linear_quantiles(rows[index, j], quantiles) for j in range(e.q)]
-    qs = {repr(float(q)): [col[i] for col in columns] for i, q in enumerate(quantiles)}
+    values, mass = e.basis.atoms(e, n)
+    columns = []
+    for j in range(e.q):
+        order = np.argsort(values[:, j], kind="stable")
+        cum = np.cumsum(mass[order])
+        col = values[order[np.searchsorted(cum, [p * cum[-1] for p in quantiles])], j]
+        if np.isnan(values[order[-1], j]):  # argsort puts a NaN last
+            col[:] = np.nan
+        columns.append(col)
+    qs = {repr(float(q)): [float(col[i]) for col in columns] for i, q in enumerate(quantiles)}
 
     freqs = None
     if graph is not None:
-        counts: dict[str, int] = {}
-        ground = graph.ground_set
-        for row, hit in zip(rows, np.bincount(index, minlength=len(rows))):
-            if hit:
-                members = threshold_round(row, round_eps, ground)
-                key = ",".join(g for g in ground if g in members) or "{}"
-                counts[key] = counts.get(key, 0) + int(hit)
-        freqs = {k: c / n for k, c in sorted(counts.items())}
+        freqs, ground = {}, graph.ground_set
+        for row, w in zip(values, mass):
+            members = threshold_round(row, round_eps, ground)
+            key = ",".join(g for g in ground if g in members) or "{}"
+            freqs[key] = freqs.get(key, 0.0) + float(w)
+        freqs = dict(sorted(freqs.items()))
 
     return StatsReport(
         mean=[float(v) for v in mean],
@@ -439,11 +414,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     Deterministic for a fixed seed except for the wall-clock elapsed_ms trace
     column. The three files are written after the run completes, all or none.
     """
-    problem = cfg.build_problem()
+    problem, rsg = cfg.build_problem(), cfg.rsg
+    if rsg.oracle.noise.sigma > 0:
+        top, q = rsg.m_schedule(rsg.outer_loops * rsg.k_stages), problem.dimension
+        block = rsg.t * rsg.oracle.theta_samples_per_call * (top + 1 + q)
+        _require(block <= MAX_STAGE_DOUBLES, "rsg.t", f"t * theta_samples * (m + 1 + q) = {block} "
+                 f"doubles at m={top}, q={q}, above the stage cap of {MAX_STAGE_DOUBLES}")
     family = cfg.build_family()
-    final, trace = restarted_outer(
-        problem, cfg.rsg, family, reference_values=cfg.reference_values()
-    )
+    final, trace = restarted_outer(problem, rsg, family, reference_values=cfg.reference_values())
     report = cfg.statistics(final)
     out = {
         "trace": cfg.out_dir / "trace.csv",
@@ -469,7 +447,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    cfg = load_config(Path(args.config), args.seed, Path(args.out) if args.out else None)
+    cfg = load_config(Path(args.config), out_override=Path(args.out) if args.out else None)
     exp_path = Path(args.expansion)
     if not exp_path.is_file():
         raise ConfigError(f"expansion file not found: {exp_path}")
@@ -503,24 +481,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         description="theta-dependent optimisation experiments (run / stats / curve)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None)
-    seeded.add_argument("--out", default=None)
-
-    run_p = sub.add_parser("run", parents=[seeded], help="run an experiment from a config file")
+    run_p = sub.add_parser("run", help="run an experiment from a config file")
     run_p.add_argument("config")
+    run_p.add_argument("--seed", type=int, default=None)
     run_p.set_defaults(fn=_cmd_run)
 
-    stats_p = sub.add_parser("stats", parents=[seeded],
-                             help="statistics report for a saved expansion")
+    stats_p = sub.add_parser("stats", help="statistics report for a saved expansion")
     stats_p.add_argument("expansion")
     stats_p.add_argument("config")
     stats_p.set_defaults(fn=_cmd_stats)
 
     curve_p = sub.add_parser("curve", help="emit the error curve for a trace")
     curve_p.add_argument("trace")
-    curve_p.add_argument("--out", default=None)
     curve_p.set_defaults(fn=_cmd_curve)
+    for p in (run_p, stats_p, curve_p):
+        p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
     try:

@@ -1,7 +1,8 @@
 """End-to-end bytes: the seeded artifacts of the dense16 benchmark instance
 (the greedy kernel), of the chain demo (the reference's tied switch) and of
 the quadratic demo (the Legendre solve and statistics) against the digests
-recorded in BENCH_15.json."""
+recorded in BENCH_21.json, whose trace.csv and expansion.txt digests are still
+those of BENCH_15.json: BENCH_21's atom statistics changed stats.json only."""
 
 import importlib.util
 import json
@@ -20,6 +21,18 @@ def load_tool():
     return tool
 
 
+def recorded(name: str) -> dict:
+    """BENCH_21.json's config-seed digests of ``name``, after checking its
+    trace.csv and expansion.txt digests against BENCH_15.json's."""
+    new, old = (
+        json.loads((ROOT / bench).read_text())["artifact_digests"]["config_seed"]["change"][name]
+        for bench in ("BENCH_21.json", "BENCH_15.json")
+    )
+    assert {k: new[k] for k in ("trace.csv", "expansion.txt")} == \
+        {k: old[k] for k in ("trace.csv", "expansion.txt")}
+    return new
+
+
 def test_dense16_config_seed_artifacts_match_recorded_digests(tmp_path, monkeypatch):
     tool = load_tool()
     # dense16_config registers perfbench/instance.py as sys.modules["instance"];
@@ -28,8 +41,7 @@ def test_dense16_config_seed_artifacts_match_recorded_digests(tmp_path, monkeypa
     work = tmp_path / "work"
     work.mkdir()
     got = tool.digests(tool.dense16_config(work), None, tmp_path / "out")
-    recorded = json.loads((ROOT / "BENCH_15.json").read_text())["artifact_digests"]
-    assert got == recorded["config_seed"]["change"]["mincut-dense16"]
+    assert got == recorded("mincut-dense16")
 
 
 def test_chain_demo_config_seed_artifacts_match_recorded_digests(tmp_path):
@@ -37,12 +49,10 @@ def test_chain_demo_config_seed_artifacts_match_recorded_digests(tmp_path):
     tied there: the seeded artifacts pin which cut the reference keeps."""
     tool = load_tool()
     got = tool.digests(ROOT / "demos" / "mincut.cfg", None, tmp_path / "out")
-    recorded = json.loads((ROOT / "BENCH_15.json").read_text())["artifact_digests"]
-    assert got == recorded["config_seed"]["change"]["demos/mincut.cfg"]
+    assert got == recorded("demos/mincut.cfg")
 
 
 def test_quadratic_demo_config_seed_artifacts_match_recorded_digests(tmp_path):
     tool = load_tool()
     got = tool.digests(ROOT / "demos" / "quadratic.cfg", None, tmp_path / "out")
-    recorded = json.loads((ROOT / "BENCH_15.json").read_text())["artifact_digests"]
-    assert got == recorded["config_seed"]["change"]["demos/quadratic.cfg"]
+    assert got == recorded("demos/quadratic.cfg")

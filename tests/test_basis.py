@@ -325,26 +325,26 @@ def test_legendre_family_states_its_largest_level(quad_measure):
     assert uq.piecewise_family(quad_measure).max_level == np.inf
 
 
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 1027, 2047, 2049, 10000])
-def test_sample_rows_blocks_equal_one_product_bitwise(n, quad_measure):
+@pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2049, 10000])
+def test_legendre_atoms_are_the_expansion_at_n_midpoints(n, quad_measure):
     rng = np.random.default_rng(n)
-    thetas = rng.uniform(quad_measure.a, quad_measure.b, size=n)
+    mids = quad_measure.a + (quad_measure.b - quad_measure.a) / n * (np.arange(n) + 0.5)
     leg = uq.legendre_family(quad_measure)
     for q in (1, 2, 16):
         for m in (1, 32):
             e = uq.Expansion(rng.standard_normal((m, q)), leg)
-            rows, index = leg.sample_rows(e, thetas)
-            assert rows.shape == (n, q) and np.array_equal(index, np.arange(n))
-            assert rows.tobytes() == uq.synthesize(e, thetas).tobytes()
+            values, weights = leg.atoms(e, n)
+            ref = uq.synthesize(e, mids)
+            assert values.shape == (n, q) and np.abs(values - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert weights.shape == (n,) and (weights == 1.0 / n).all()
 
 
-def test_piecewise_sample_rows_are_the_cell_values(unit_measure):
+def test_piecewise_atoms_are_the_cell_values_and_cell_measures(unit_measure):
     rng = np.random.default_rng(5)
-    fam = uq.piecewise_family(unit_measure, uq.Partition(tuple(np.sort(rng.uniform(size=24)))))
+    part = uq.Partition(tuple(np.sort(rng.uniform(size=24))))
+    fam = uq.piecewise_family(unit_measure, part)
     e = uq.Expansion(rng.standard_normal((25, 16)), fam)
-    thetas = rng.uniform(size=3000)
-    rows, index = fam.sample_rows(e, thetas)
-    assert rows is e.coefficients and index.shape == (3000,)
-    assert rows[index].tobytes() == uq.synthesize(e, thetas).tobytes()
-    with pytest.raises(ValueError, match="outside the measure support"):
-        fam.sample_rows(e, np.array([0.5, 1.5]))
+    for n in (1, 3000):
+        values, weights = fam.atoms(e, n)
+        assert values is e.coefficients
+        assert weights.tobytes() == (np.diff([0.0, *part.breakpoints, 1.0]) / 1.0).tobytes()

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -90,6 +91,9 @@ def test_config_errors_name_the_field(tmp_path):
         ("rsg", "outer_loops", str(cli.MAX_STAGES // 4 + 1)),  # k = 4: the first count past the cap
         ("rsg", "t", str(cli.MAX_STAGE_DOUBLES // (16 * 13) + 1)),  # 16 thetas, m <= 12: the first t past
         ("stats", "quantiles", ""),
+        ("stats", "quantiles", "0.5,,0.9"),
+        ("stats", "quantiles", "0.5,"),
+        ("stats", "quantiles", "0.5,0.50"),
         ("rsg", "noise_sgima", "0.5"),
         ("stat", "samples", "2000"),
         ("rsg", "seed", "5%"),  # a plain character, not interpolation syntax
@@ -129,6 +133,29 @@ def test_stage_cap_itself_loads(tmp_path):
     t = cli.MAX_STAGE_DOUBLES // (16 * 16)
     cfg = small_quadratic_cfg(tmp_path, rsg={"t": str(t), "m_schedule": "constant:15"})
     assert cli.load_config(cfg).rsg.t * 16 * 16 == cli.MAX_STAGE_DOUBLES
+
+
+def test_noise_block_counts_in_the_stage_cap(tmp_path, capsys, monkeypatch):
+    """With noise on, a stage also holds t * theta_samples * q noise doubles:
+    the check runs once the problem states q, before solving."""
+    def solve(*args, **kwargs):
+        raise AssertionError("the solver must not start")
+
+    monkeypatch.setattr(cli, "restarted_outer", solve)
+    (tmp_path / "g.edges").write_text(
+        "source s\nsink t\n" + "".join(f"s {i} 1 0\n{i} t 0 1\n" for i in range(1, 17)))
+    for t, code in [(cli.MAX_STAGE_DOUBLES // (16 * 18), 1), (cli.MAX_STAGE_DOUBLES // (16 * 2), 2)]:
+        cfg = small_quadratic_cfg(
+            tmp_path, problem={"kind": "mincut:g.edges"}, measure={"b": "4.0"},
+            basis={"kind": "piecewise"},
+            rsg={"m_schedule": "constant:1", "noise_sigma": "0.1", "t": str(t)},
+        )
+        assert cli.load_config(cfg).build_problem().dimension == 16  # the design count passes
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert ("must not start" in err) if code == 1 else ("rsg.t" in err and "q=16" in err)
+        assert not out.exists()
 
 
 def test_m_schedule_grammar():
@@ -255,40 +282,65 @@ def test_stats_accepts_matching_expansion(tmp_path):
     assert json.loads((out / "stats.json").read_text())["cut_frequencies"] == {"{}": 1.0}
 
 
-def cut_frequencies_per_sample(e, measure, n, rng, round_eps, graph):
-    """Threshold-round every sampled row and tally the sets: the reference
-    for the per-cell tally of compute_statistics."""
-    counts = {}
-    for row in bs.synthesize(e, rng.uniform(measure.a, measure.b, size=n)):
+def test_stats_takes_no_seed(tmp_path, capsys):
+    exp = tmp_path / "expansion.txt"
+    exp.write_text(_PIECEWISE_OK)
+    out = tmp_path / "stats-out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["stats", str(exp), str(DEMOS / "mincut.cfg"), "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def midpoint_atoms(e, n):
+    """e at the midpoints of n equal cells of its support, each weighing 1/n."""
+    mes = e.basis.measure
+    return bs.synthesize(e, mes.a + (mes.b - mes.a) / n * (np.arange(n) + 0.5)), [1.0 / n] * n
+
+
+def cut_frequencies_per_atom(values, weights, round_eps, graph):
+    """Threshold-round every atom and add its weight to its set: the
+    reference for the cut tally of compute_statistics."""
+    freqs = {}
+    for row, w in zip(values, weights):
         members = uq.threshold_round(row, round_eps, graph.ground_set)
         key = ",".join(g for g in graph.ground_set if g in members) or "{}"
-        counts[key] = counts.get(key, 0) + 1
-    return {k: c / n for k, c in sorted(counts.items())}
+        freqs[key] = freqs.get(key, 0.0) + float(w)
+    return dict(sorted(freqs.items()))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cut_frequencies_per_cell_equal_per_sample_loop(cut_measure, seed):
+def test_cut_frequencies_equal_the_cell_measure_and_per_atom_tallies(cut_measure, seed):
     rng = np.random.default_rng(seed)
     g = random_cut_graph(rng, 6)
     part = uq.Partition(tuple(np.sort(rng.uniform(0.0, 4.0, size=40))))
     e_pw = bs.Expansion(rng.integers(0, 5, size=(41, 6)) / 4.0, uq.piecewise_family(cut_measure, part))
-    # a Legendre expansion is rounded once per sample
     e_leg = bs.Expansion(rng.normal(0.5, 0.3, size=(4, 6)), uq.legendre_family(cut_measure))
-    for e in (e_pw, e_leg):
-        rep = cli.compute_statistics(e, cut_measure, 5000, (0.5,), np.random.default_rng(seed),
-                                     round_eps=0.3, graph=g)
-        ref = cut_frequencies_per_sample(e, cut_measure, 5000, np.random.default_rng(seed), 0.3, g)
+    # a piecewise expansion: each cell's value, weighing its cell's measure;
+    # a Legendre one: e at 5000 midpoints
+    cells = (e_pw.coefficients, bs.cell_measures(part, cut_measure))
+    for e, atoms in ((e_pw, cells), (e_leg, midpoint_atoms(e_leg, 5000))):
+        rep = cli.compute_statistics(e, 5000, (0.5,), round_eps=0.3, graph=g)
+        ref = cut_frequencies_per_atom(*atoms, 0.3, g)
         assert len(ref) > 3 and rep.cut_frequencies == ref
         assert rep.to_json() == cli.StatsReport(rep.mean, rep.variance, rep.quantiles, ref).to_json()
 
 
-def quantiles_of_all_samples(e, measure, n, quantiles, rng):
-    """The quantile table from one axis-0 call on the (n, q) samples."""
-    samples = bs.synthesize(e, rng.uniform(measure.a, measure.b, size=n))
-    return np.quantile(samples, list(quantiles), axis=0)
+def weighted_inverse_cdf(values, weights, quantiles):
+    """Plain-Python quantiles of one component's atoms: the first value, in a
+    stable sort of the (value, weight) pairs, whose running weight sum
+    reaches p times the total; NaN at every quantile if a value is NaN."""
+    if any(math.isnan(v) for v in values):
+        return [math.nan] * len(quantiles)
+    pairs = sorted(zip(values, weights), key=lambda pair: pair[0])
+    running, sums = 0.0, []
+    for _, w in pairs:
+        running += w
+        sums.append(running)
+    return [next(v for (v, _), s in zip(pairs, sums) if s >= p * running) for p in quantiles]
 
 
-def test_per_component_quantiles_equal_the_axis_0_call_bitwise(cut_measure):
+def test_per_component_quantiles_equal_a_weighted_inverse_cdf_bitwise(cut_measure):
     rng = np.random.default_rng(18)
     cases = []
     for case in range(60):
@@ -301,24 +353,43 @@ def test_per_component_quantiles_equal_the_axis_0_call_bitwise(cut_measure):
             e = bs.Expansion(rng.standard_normal((5, q)), uq.legendre_family(cut_measure))
         quantiles = tuple(rng.choice([0.0, 0.1, 0.25, 0.5, 0.9, 1.0, 0.333], size=3))
         cases.append((e, quantiles, int(rng.integers(1, 3000))))
-    # one and two samples, the end quantiles, an all-equal column (one cell),
-    # columns of -0.0 and 0.0 only, and Legendre sums that overflow to +-inf
+    # one and two atoms, the end quantiles, an all-equal column (one cell),
+    # columns of -0.0 and 0.0 only, Legendre sums that overflow to +-inf, and
+    # a NaN atom, set after the expansion's finiteness check
     ends = (0.0, 1.0, 0.5, 0.1, 0.9)
     one_cell = bs.Expansion([[1.5, -0.0, 0.0]], uq.piecewise_family(cut_measure, uq.Partition(())))
     part = uq.Partition((0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5))
     zeros = bs.Expansion(rng.choice([-0.0, 0.0], size=(8, 3)), uq.piecewise_family(cut_measure, part))
+    two_cells = bs.Expansion([[1.0, 0.0], [-2.0, 0.0]],
+                             uq.piecewise_family(cut_measure, uq.Partition((1.0,))))
     huge = bs.Expansion([[0.0, 1.0], [1.5e308, -1.5e308], [1.5e308, 1.5e308]],
                         uq.legendre_family(cut_measure))
-    cases += [(e, ends, n) for n in (1, 2, 3, 50) for e in (one_cell, zeros, huge)]
-    for case, (e, quantiles, n) in enumerate(cases):
+    with_nan = bs.Expansion(np.ones((8, 2)), uq.piecewise_family(cut_measure, part))
+    with_nan.coefficients[3, 1] = np.nan
+    cases += [(e, ends, n) for n in (1, 2, 3, 50) for e in (one_cell, zeros, two_cells, huge, with_nan)]
+    for e, quantiles, n in cases:
         with np.errstate(over="ignore", invalid="ignore"):
-            rep = cli.compute_statistics(e, cut_measure, n, quantiles, np.random.default_rng(case))
-            ref = quantiles_of_all_samples(e, cut_measure, n, quantiles, np.random.default_rng(case))
+            rep = cli.compute_statistics(e, n, quantiles)
+            values, weights = e.basis.atoms(e, n)
         got = np.array([rep.quantiles[repr(float(x))] for x in quantiles])
-        assert got.tobytes() == ref.tobytes()
-    # a NaN sample, which numpy returns for every quantile
-    col = np.array([1.0, np.nan, -0.0, 2.0])
-    assert np.array(cli._linear_quantiles(col.copy(), ends)).tobytes() == np.quantile(col, ends).tobytes()
+        ref = [weighted_inverse_cdf(values[:, j].tolist(), weights.tolist(), quantiles)
+               for j in range(e.q)]
+        assert got.tobytes() == np.array(ref).T.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(cli.compute_statistics(with_nan, 1, ends).quantiles["0.5"][1])
+        assert np.isinf(cli.compute_statistics(huge, 50, ends).quantiles["1.0"]).all()
+
+
+def test_legendre_quantiles_are_within_1e_3_of_a_20_times_finer_rule(quad_measure):
+    e = uq.analyze(uq.quadratic_reference, uq.legendre_family(quad_measure), 32)
+    quantiles = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+    rep = cli.compute_statistics(e, 10_000, quantiles)
+    fine = np.vstack([bs.synthesize(e, thetas) for thetas in np.array_split(
+        quad_measure.a + (quad_measure.b - quad_measure.a) / 200_000 * (np.arange(200_000) + 0.5),
+        200)])
+    ref = np.quantile(fine, quantiles, axis=0, method="inverted_cdf")
+    got = np.array([rep.quantiles[repr(q)] for q in quantiles])
+    assert np.abs(got - ref).max() < 1e-3
 
 
 # a fresh interpreter: whether numpy.ma is imported once cli.main returns
@@ -360,8 +431,7 @@ def test_statistics_memory_is_linear_in_samples(cut_measure, family):
     e.basis.rule()  # the measure's Gauss rule is built once and cached: keep it outside
     tracemalloc.start()
     try:
-        cli.compute_statistics(e, cut_measure, n, (0.1, 0.5, 0.9), np.random.default_rng(0),
-                               graph=graph)
+        cli.compute_statistics(e, n, (0.1, 0.5, 0.9), graph=graph)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -371,7 +441,7 @@ def test_statistics_memory_is_linear_in_samples(cut_measure, family):
 def test_statistics_constant_expansion(unit_measure):
     fam = uq.legendre_family(unit_measure)
     e = bs.Expansion(np.array([[2.5, -1.0]]), fam)
-    rep = cli.compute_statistics(e, unit_measure, 500, (0.1, 0.9), np.random.default_rng(1))
+    rep = cli.compute_statistics(e, 500, (0.1, 0.9))
     assert rep.mean == pytest.approx([2.5, -1.0], abs=1e-12)
     assert rep.variance == pytest.approx([0.0, 0.0], abs=1e-12)
     for q in rep.quantiles.values():
@@ -381,11 +451,11 @@ def test_statistics_constant_expansion(unit_measure):
 def test_statistics_mean_matches_dense_quadrature_oracle(quad_measure):
     fam = uq.legendre_family(quad_measure)
     converged = uq.analyze(uq.quadratic_reference, fam, 8)
-    rep = cli.compute_statistics(
-        converged, quad_measure, 1000, (0.5,), np.random.default_rng(2)
-    )
-    dense = uq.ThetaMeasure(0.0, 2 * np.pi, quadrature_nodes=10_000 // 2)
-    oracle_mean = dense.weights @ uq.quadratic_reference(dense.nodes)
+    rep = cli.compute_statistics(converged, 1000, (0.5,))
+    # 1000 equal cells of 8 Gauss nodes: 3.3e-9 from a 5000-node Gauss rule
+    cells = tuple(np.linspace(quad_measure.a, quad_measure.b, 1001)[1:-1])
+    nodes, weights = quad_measure.composite_rule(cells, 8)
+    oracle_mean = weights @ uq.quadratic_reference(nodes)
     assert np.abs(np.asarray(rep.mean) - oracle_mean).max() < 5e-2
 
 
@@ -411,10 +481,7 @@ def test_statistics_cut_frequencies(cut_measure, demo_graph):
         ]
     )
     e = bs.Expansion(cells, fam)
-    rep = cli.compute_statistics(
-        e, cut_measure, 10_000, (0.5,), np.random.default_rng(4),
-        round_eps=0.1, graph=demo_graph,
-    )
+    rep = cli.compute_statistics(e, 10_000, (0.5,), round_eps=0.1, graph=demo_graph)
     assert abs(rep.cut_frequencies["1,2"] - 0.5) < 0.03
     assert abs(rep.cut_frequencies["2"] - 0.5) < 0.03
     assert sum(rep.cut_frequencies.values()) == pytest.approx(1.0, abs=1e-12)
