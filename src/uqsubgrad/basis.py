@@ -141,6 +141,20 @@ class BasisFamily:
         return values, np.full(n, 1.0 / n)
 
 
+def _legvander(x: np.ndarray, deg: int) -> np.ndarray:
+    """numpy's ``legvander(x, deg)`` by the same operations: the three-term
+    recurrence out of place, on a degree-major array returned as the same
+    ``moveaxis`` view, so that the design keeps legvander's strides."""
+    x = np.array(x, copy=None, ndmin=1) + 0.0
+    v = np.empty((deg + 1,) + x.shape, dtype=x.dtype)
+    v[0] = x * 0 + 1
+    if deg > 0:
+        v[1] = x
+        for i in range(2, deg + 1):
+            v[i] = (v[i - 1] * x * (2 * i - 1) - v[i - 2] * (i - 1)) / i
+    return np.moveaxis(v, 0, -1)
+
+
 @dataclass(frozen=True)
 class LegendreFamily(BasisFamily):
     """Orthonormal shifted Legendre polynomials; level m keeps the first m."""
@@ -159,7 +173,7 @@ class LegendreFamily(BasisFamily):
         rule, the exact inner product used everywhere; level m takes [:m]."""
         mes = self.measure
         x = 2.0 * (mes.nodes - mes.a) / (mes.b - mes.a) - 1.0
-        V = np.polynomial.legendre.legvander(x, self.max_level - 1)
+        V = _legvander(x, self.max_level - 1)
         return np.sqrt(np.einsum("nm,nm,n->m", V, V, mes.weights))
 
     def _matrix(self, theta: np.ndarray, m: int) -> np.ndarray:
@@ -173,7 +187,7 @@ class LegendreFamily(BasisFamily):
         # in place: the same bytes as an out-of-place division, without a
         # second array, and legvander's strided layout, which B[t] @ u's
         # summation order follows
-        V = np.polynomial.legendre.legvander(x, m - 1)
+        V = _legvander(x, m - 1)
         V /= self._norms[:m]
         return V
 

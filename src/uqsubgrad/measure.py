@@ -19,8 +19,48 @@ import numpy as np
 ScalarField = Callable[[np.ndarray], np.ndarray]
 
 ArrayLike = Union[float, np.ndarray]
+
+
+def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Legendre series c at x by numpy's ``legval`` Clenshaw loop."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1, nd = c[-2], c[-1], len(c)
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``leggauss(n)`` by the same floating-point operations, so that
+    no run imports numpy.polynomial: the eigenvalues of the symmetric Jacobi
+    matrix (Golub & Welsch 1969), one Newton step, then the weights
+    1 / (L_{n-1} L_n') symmetrised and scaled to sum to 2."""
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    # legcompanion's matrix: its last-column update subtracts +0.0 for this c,
+    # and the -0.0 of its 1x1 branch loses its sign in x - x[::-1] below
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    # legder(c) for c = L_n: 2k + 1 where n - 1 - k is even, else +0.0, the
+    # exact small integers its coefficient loop produces
+    k = np.arange(n)
+    df = _legval(x, (2 * k + 1.0) * ((n - 1 - k) % 2 == 0))
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 # n -> the n-node Gauss-Legendre rule on [-1, 1], computed once; read only
-_gauss_legendre = cache(np.polynomial.legendre.leggauss)
+_gauss_legendre = cache(_leggauss)
 
 
 @dataclass(frozen=True)

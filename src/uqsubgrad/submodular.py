@@ -260,26 +260,26 @@ def _cut_line(g: CutGraph, sink_side: frozenset) -> tuple[float, float]:
 
 
 def _envelope_breakpoints(argmin_at, lo: float, hi: float, tol: float) -> list[float]:
-    """Breakpoints of the min-cut value function on [lo, hi], by the
+    """Breakpoints of the min-cut value function inside (lo, hi), by the
     Eisner-Severance recursion: intersect the optimal lines at the two ends of
     an interval; if some cut lies lower there, split the interval at that
     point, otherwise the intersection is a breakpoint. ``argmin_at(theta)`` is
     the (base, slope) of a minimum cut at theta."""
-    found = []
+    found = set()
     pending = [(lo, argmin_at(lo), hi, argmin_at(hi))]
     while pending:
         left, (ba, sa), right, (bb, sb) = pending.pop()
         if sa == sb:
             continue  # one line on the whole interval
         x = (bb - ba) / (sa - sb)
-        if not left < x < right:
+        if not left <= x <= right:  # a kink can sit exactly on a probe point
             continue
         c = argmin_at(x)
         if c[0] + c[1] * x < min(ba + sa * x, bb + sb * x) - tol:
             pending += [(left, (ba, sa), x, c), (x, c, right, (bb, sb))]
         else:
-            found.append(float(x))
-    return sorted(found)
+            found.add(float(x))
+    return sorted(x for x in found if lo < x < hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,13 +308,13 @@ def min_cut_value_function(g: CutGraph) -> MinCutEnvelope:
     """Vectorized theta -> min-cut value, exact on ``g.theta_range``.
 
     Every cut's value is affine in theta, so the optimal value is the lower
-    envelope of the cut lines. Its breakpoints are found by recursive
-    intersection, each probe answered by one max-flow's two extreme minimum
-    cuts, and the line of every distinct cut found is kept. No 2^n table is
+    envelope of the cut lines. Its breakpoints inside the range are found by
+    recursive intersection, each probe answered by one max-flow's two extreme
+    minimum cuts, and the line of every distinct cut found is kept. The range
+    ends are probed as they are: no weight is negative there. No 2^n table is
     built; the floats match the minimum over all 2^n cut lines.
     """
     lo, hi = g.theta_range
-    lo, hi = lo - _THETA_SLACK, hi + _THETA_SLACK
     scale = sum(abs(base) + abs(slope) * max(abs(lo), abs(hi)) for _, _, base, slope in g.edges)
     lines: dict[frozenset, tuple[float, float]] = {}
 

@@ -3,6 +3,7 @@ replaced with faster ones, kept as references for the tests."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
@@ -48,3 +49,28 @@ def gap_norm_uncached(p, e: bs.Expansion, reference_values) -> float:
     nodes, weights = e.basis.rule()
     gap = p.objective(bs.synthesize(e, nodes), nodes) - reference_values(nodes)
     return float(np.sqrt(max(np.dot(weights, gap**2), 0.0)))
+
+
+def exact_envelope_kinks(graph) -> list[Fraction]:
+    """Kinks strictly inside the theta range of the lower envelope of all 2^n
+    cut lines, in exact rational arithmetic on the weights: from the flattest
+    optimal line at the left end, hop to the line that overtakes it first,
+    the flattest one on a tie."""
+    ground = graph.ground_set
+    lines = set()
+    for mask in range(2 ** len(ground)):
+        sink_side = {ground[i] for i in range(len(ground)) if mask >> i & 1} | {graph.sink}
+        cut = [(Fraction(b), Fraction(s)) for u, v, b, s in graph.edges
+               if u not in sink_side and v in sink_side]
+        lines.add((sum(b for b, _ in cut), sum(s for _, s in cut)))
+    lo, hi = map(Fraction, graph.theta_range)
+    base, slope = min(lines, key=lambda line: (line[0] + line[1] * lo, line[1]))
+    kinks = []
+    while flatter := [(b, s) for b, s in lines if s < slope]:
+        x = min((b - base) / (slope - s) for b, s in flatter)
+        if x >= hi:
+            break
+        kinks.append(x)
+        base, slope = min(((b, s) for b, s in flatter if (b - base) / (slope - s) == x),
+                          key=lambda line: line[1])
+    return kinks

@@ -314,6 +314,18 @@ def test_legendre_design_in_place_equals_out_of_place_bitwise(m, quad_measure):
             assert (row @ u).tobytes() == (ref_row @ u).tobytes()
 
 
+@pytest.mark.parametrize("deg", [0, 1, 7, 31, 63])
+def test_legendre_vandermonde_equals_numpy_legvander_bitwise(deg):
+    """The package's design repeats numpy's legvander, layout included, on
+    the 128 Gauss nodes and on a stage-shaped block holding both ends."""
+    block = np.random.default_rng(deg).uniform(-1.0, 1.0, size=(50, 64))
+    block[0, :2] = -1.0, 1.0
+    for x in (np.polynomial.legendre.leggauss(128)[0], block):
+        V, ref = bs._legvander(x, deg), np.polynomial.legendre.legvander(x, deg)
+        assert V.shape == ref.shape == x.shape + (deg + 1,)
+        assert V.strides == ref.strides and V.tobytes() == ref.tobytes()
+
+
 def test_legendre_family_states_its_largest_level(quad_measure):
     for nodes in (128, 33):
         mes = uq.ThetaMeasure(quad_measure.a, quad_measure.b, quadrature_nodes=nodes)

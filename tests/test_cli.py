@@ -392,13 +392,15 @@ def test_legendre_quantiles_are_within_1e_3_of_a_20_times_finer_rule(quad_measur
     assert np.abs(got - ref).max() < 1e-3
 
 
-# a fresh interpreter: whether numpy.ma is imported once cli.main returns
-RUN_AND_LIST_NUMPY_MA = """
+# a fresh interpreter: which of the numpy modules a run can do without are
+# imported once cli.main returns
+UNUSED_NUMPY_MODULES = ("numpy.ma", "numpy.polynomial")
+RUN_AND_LIST_NUMPY_MODULES = """
 import sys
 sys.path[:0] = sys.argv[1:2]
 from uqsubgrad import cli
 code = cli.main(["run", sys.argv[2], "--out", sys.argv[3]])
-print("numpy.ma" in sys.modules)
+print(sorted(set(sys.argv[4:]) & set(sys.modules)))
 sys.exit(code)
 """
 
@@ -406,14 +408,16 @@ sys.exit(code)
 @pytest.mark.parametrize("demo", ["quadratic.cfg", "mincut.cfg"])
 def test_run_does_not_import_numpy_ma(tmp_path, demo):
     """numpy.ma (np.quantile imports it through np.unique) would be the
-    statistics phase's largest share of a run's resident memory."""
+    statistics phase's largest share of a run's resident memory, and
+    numpy.polynomial (leggauss, legvander) the next one."""
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
-        [sys.executable, "-c", RUN_AND_LIST_NUMPY_MA, str(src), str(DEMOS / demo), str(tmp_path)],
+        [sys.executable, "-c", RUN_AND_LIST_NUMPY_MODULES, str(src), str(DEMOS / demo),
+         str(tmp_path), *UNUSED_NUMPY_MODULES],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("family", ["legendre", "piecewise"])

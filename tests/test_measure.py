@@ -3,6 +3,7 @@ import pytest
 
 import uqsubgrad as uq
 from oracles import sample_theta
+from uqsubgrad import measure
 
 
 def test_probability_normalisation(unit_measure):
@@ -98,3 +99,13 @@ def test_composite_rule_matches_global_on_smooth(unit_measure):
     composite = float(np.dot(weights, f(nodes) ** 2))
     direct = uq.inner_product(f, f, unit_measure)
     assert composite == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64, 127, 128, 129, 1024])
+def test_gauss_legendre_rule_equals_numpy_leggauss_bitwise(n):
+    """The package's rule repeats numpy's leggauss operation by operation:
+    n = 1 is numpy's 1x1 companion branch, 128 the default node count."""
+    x, w = measure._gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert x.shape == w.shape == ref_x.shape == (n,)
+    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()

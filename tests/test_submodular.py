@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import uqsubgrad as uq
-from oracles import chain_relaxation_closed_form
+from oracles import chain_relaxation_closed_form, exact_envelope_kinks
 from uqsubgrad.submodular import BRUTE_FORCE_CAP, min_cut_value_function, random_cut_graph
 
 
@@ -250,27 +250,6 @@ def full_table_min(graph):
     return lambda theta: np.min(B + S * np.asarray(theta, dtype=float)[..., None], axis=-1)
 
 
-def full_table_kinks(graph):
-    """Breakpoint count of the lower envelope of all 2^n cut lines on the
-    slack-widened theta range, by walking the envelope left to right: from
-    the optimal line at the left end, hop to the line that overtakes it first
-    (the flattest one on a tie)."""
-    B, S = full_table_lines(graph)
-    lo, hi = graph.theta_range
-    lo, hi = lo - 1e-12, hi + 1e-12
-    i = min(range(len(B)), key=lambda j: (B[j] + S[j] * lo, S[j]))
-    theta, kinks = lo, 0
-    while (flatter := np.flatnonzero(S < S[i])).size:
-        x = (B[flatter] - B[i]) / (S[i] - S[flatter])
-        if x.min() >= hi:
-            break
-        tied = flatter[x == x.min()]
-        i = tied[np.argmin(S[tied])]
-        kinks += bool(x.min() > theta)
-        theta = x.min()
-    return kinks
-
-
 def envelope_probes(f, rng, size=400):
     lo, hi = f.theta_range
     return np.concatenate(([lo, hi], f.breakpoints, rng.uniform(lo, hi, size=size)))
@@ -340,9 +319,34 @@ def test_min_cut_envelope_sweep_matches_full_table():
         f = min_cut_value_function(g)
         thetas = envelope_probes(f, rng)
         assert np.array_equal(f(thetas), full_table_min(g)(thetas))
-        assert len(f.breakpoints) == full_table_kinks(g)
+        exact = [float(x) for x in exact_envelope_kinks(g)]
+        assert f.breakpoints == pytest.approx(exact, rel=1e-12, abs=1e-12)
         kinked += len(f.breakpoints) > 0
     assert kinked >= 5
+
+
+def integer_weight_graphs(count=300):
+    """Seeded random topologies on 2-9 nodes with integer bases 0-3 and
+    slopes -1..2 on (0, 4); a slope that would take a weight below zero at
+    theta = 4 becomes 0. Integer lines tie often: kinks fall on probe points
+    and on the range ends."""
+    rng = np.random.default_rng(2323)
+    for k in range(count):
+        g = random_cut_graph(rng, 2 + k % 8)
+        edges = []
+        for u, v, *_ in g.edges:
+            base, slope = int(rng.integers(0, 4)), int(rng.integers(-1, 3))
+            edges.append((u, v, float(base), float(slope if base + 4 * slope >= 0 else 0)))
+        yield uq.CutGraph(g.nodes, g.source, g.sink, tuple(edges), (0.0, 4.0))
+
+
+def test_min_cut_envelope_breakpoints_are_exact_on_integer_weights():
+    rng = np.random.default_rng(23)
+    for g in integer_weight_graphs():
+        f = min_cut_value_function(g)
+        assert f.breakpoints == tuple(float(x) for x in exact_envelope_kinks(g))
+        thetas = envelope_probes(f, rng, size=50)
+        assert np.array_equal(f(thetas), full_table_min(g)(thetas))
 
 
 @pytest.mark.parametrize("seed, n, edge_prob", [(0, 50, 0.3), (4, 60, 0.2)])
