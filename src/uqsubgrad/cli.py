@@ -36,7 +36,9 @@ from . import basis as bs
 from .measure import ThetaMeasure
 from .oracle import OracleConfig
 from .problems import NoiseModel, ProblemSpec, mincut_problem, quadratic_problem
-from .rsg import RsgConfig, RunTrace, restarted_outer, trace_from_csv, trace_to_csv
+from .rsg import (
+    RsgConfig, RunTrace, ZeroProbeError, restarted_outer, stage_count, trace_from_csv, trace_to_csv,
+)
 from .submodular import CutGraph, min_cut_value_function, parse_cut_graph, threshold_round
 
 
@@ -119,7 +121,7 @@ FIELDS = {
     "rsg.eps_target": (float, REQUIRED, _POSITIVE),
     "rsg.alpha": (float, REQUIRED, ("must be > 1", lambda v: v > 1)),
     "rsg.t": (int, REQUIRED, _AT_LEAST_1),
-    "rsg.k": (int, REQUIRED, _AT_LEAST_1),
+    "rsg.k": (int, None, _AT_LEAST_1),
     "rsg.outer_loops": (int, REQUIRED, _AT_LEAST_1),
     "rsg.m_schedule": (_parse_m_schedule, REQUIRED, _ANY),
     "rsg.theta_samples": (int, "64", _AT_LEAST_1),
@@ -236,13 +238,18 @@ def load_config(path: Path, seed_override: Optional[int] = None,
 
     eps0, eps_target = _field(cp, "rsg.eps0"), _field(cp, "rsg.eps_target")
     _require(eps0 > eps_target, "rsg.eps0", "must exceed rsg.eps_target")
-    k, loops = _field(cp, "rsg.k"), _field(cp, "rsg.outer_loops")
+    alpha, k, loops = _field(cp, "rsg.alpha"), _field(cp, "rsg.k"), _field(cp, "rsg.outer_loops")
+    if k is None:  # the stages that take eps0 down to eps_target
+        try:
+            k = _field(cp, "rsg.k", stage_count(eps0, eps_target, alpha))
+        except OverflowError as exc:
+            raise ConfigError(f"rsg.k: cannot derive it from eps0 / eps_target ({exc})") from exc
     _require(loops * k <= MAX_STAGES, "rsg.outer_loops",
              f"outer_loops * k = {loops * k} stages, above the cap of {MAX_STAGES}")
     sigma = _field(cp, "rsg.noise_sigma")
     noise = NoiseModel("additive_gaussian", sigma) if sigma > 0 else NoiseModel()
     oracle = OracleConfig(theta_samples_per_call=_field(cp, "rsg.theta_samples"), noise=noise)
-    schedule, alpha, t = _field(cp, "rsg.m_schedule"), _field(cp, "rsg.alpha"), _field(cp, "rsg.t")
+    schedule, t = _field(cp, "rsg.m_schedule"), _field(cp, "rsg.t")
     seed, step = _field(cp, "rsg.seed", seed_override), _field(cp, "rsg.initial_step")
     try:
         rsg = RsgConfig(eps0=eps0, eps_target=eps_target, alpha=alpha, t=t, k_stages=k,
@@ -421,7 +428,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
         _require(block <= MAX_STAGE_DOUBLES, "rsg.t", f"t * theta_samples * (m + 1 + q) = {block} "
                  f"doubles at m={top}, q={q}, above the stage cap of {MAX_STAGE_DOUBLES}")
     family = cfg.build_family()
-    final, trace = restarted_outer(problem, rsg, family, reference_values=cfg.reference_values())
+    try:
+        final, trace = restarted_outer(problem, rsg, family, reference_values=cfg.reference_values())
+    except ZeroProbeError as exc:
+        raise ConfigError(f"rsg.initial_step: needed here, as {exc}") from exc
     report = cfg.statistics(final)
     out = {
         "trace": cfg.out_dir / "trace.csv",

@@ -146,6 +146,18 @@ def is_feasible(e: bs.Expansion, p: ProjectionSpec, tol: float = 1e-9) -> bool:
     )
 
 
+def farthest_feasible_distance(e: bs.Expansion, p: ProjectionSpec) -> Optional[float]:
+    """The largest pi-distance from feasible ``e`` to a feasible point: ||u|| + r
+    for a ball, the pi-norm of the farthest box corner's offsets for a box,
+    and None (unbounded) without a projection."""
+    u = e.coefficients
+    if p.kind == "l2_ball":
+        return float(np.linalg.norm(u)) + p.radius
+    if p.kind == "per_cell_box":
+        return e.basis.tail_norm(np.maximum(u - p.lo, p.hi - u), 0)
+    return None
+
+
 # -- Quadratic instance ----------------------------------------------------------
 
 

@@ -13,7 +13,8 @@ Three nested loops:
   warm-started from the previous stage's average.
 * :func:`restarted_outer` - outer restarts over a growing basis schedule;
   piecewise families grow by sampled cell splits that preserve the synthesized
-  function, polynomial families grow by zero-padding new coefficients.
+  function, polynomial families grow by zero-padding new coefficients. Its
+  derived first step also fits the stage length (:func:`first_step`).
 
 Every stage appends one row to a :class:`RunTrace`; rows serialize to CSV with
 the documented 8-column header.
@@ -34,6 +35,7 @@ from .oracle import GVEstimate, OracleConfig, ThetaBlock, estimate_G_V
 from .problems import (
     GapNorm,
     ProblemSpec,
+    farthest_feasible_distance,
     is_feasible,
     objective_gap_norm,
     project,
@@ -60,7 +62,7 @@ class RsgConfig:
     ``m_schedule`` maps the global stage index j = 1, 2, ... (counting every
     stage across all outer loops) to the basis size for that stage; it must be
     monotone nondecreasing. ``initial_step`` overrides the derived
-    eta_1 = eps0 / (alpha (G^2+V^2)) when given.
+    eta_1 of :func:`first_step` when given.
     """
 
     eps0: float
@@ -88,6 +90,10 @@ class RsgConfig:
             raise ValueError("m_schedule must be monotone nondecreasing")
         if any(m < 1 for m in ms):
             raise ValueError("m_schedule must stay >= 1")
+
+
+class ZeroProbeError(ValueError):
+    """The G^2/V^2 probe read no subgradient, so it cannot set a first step."""
 
 
 @dataclass
@@ -233,7 +239,7 @@ def rsg_loop(
     else:
         if gv is None:
             raise ValueError("need a GVEstimate when no explicit initial step is given")
-        eta = eps0 / (alpha * gv.total)
+        eta = first_step(gv, eps0, alpha, t)
     e = start
     for k in range(1, K + 1):
         e = grow_expansion(e, m_schedule[k - 1], rng)
@@ -284,10 +290,12 @@ def restarted_outer(
         start = bs.zero_expansion(family, cfg.m_schedule(1), p.dimension)
     start = project(grow_expansion(start, cfg.m_schedule(1), rng), p.projection)
 
-    gv = None
-    if cfg.initial_step is None:
+    step = cfg.initial_step
+    if step is None:
         probes = [start] + [random_feasible_like(start, p.projection, rng) for _ in range(2)]
         gv = estimate_G_V(p, probes, cfg.oracle, rng)
+        D = farthest_feasible_distance(start, p.projection)
+        step = first_step(gv, cfg.eps0, cfg.alpha, cfg.t, D)
 
     if reference_values is None and p.reference_optimum is not None:
         ref = p.reference_optimum
@@ -304,7 +312,7 @@ def restarted_outer(
         m_slice = [cfg.m_schedule(j) for j in range(lo, lo + cfg.k_stages)]
         e = rsg_loop(
             p, e, cfg.k_stages, cfg.t, cfg.alpha, cfg.eps0, m_slice,
-            cfg.oracle, rng, gv=gv, initial_step=cfg.initial_step,
+            cfg.oracle, rng, initial_step=step,
             trace=trace, outer_i=i, error_fn=error_fn, on_stage=on_stage,
         )
         trace.rsg_calls += 1
@@ -321,6 +329,25 @@ def restarted_outer(
 
 
 # -- Theory-derived parameters and diagnostics ---------------------------------
+
+
+def first_step(
+    gv: GVEstimate, eps0: float, alpha: float, t: int, D: Optional[float] = None
+) -> float:
+    """eta_1 = eps0 / (alpha (G^2+V^2)), the paper's, or D / sqrt((G^2+V^2) t)
+    when the start lies within distance D of every feasible point and that is
+    larger: t steps eta from distance D bound the first stage's gap by
+    D^2 / (2 eta t) + eta (G^2+V^2) / 2, which is convex in eta with its
+    minimum at the second step. Raises ZeroProbeError when G^2 + V^2 is 0."""
+    if gv.total <= 0:
+        raise ZeroProbeError(f"the G^2/V^2 probe read {gv.total!r}, so no first step follows from it")
+    step = eps0 / (alpha * gv.total)
+    return step if D is None else max(step, D / math.sqrt(gv.total * t))
+
+
+def stage_count(eps0: float, eps: float, alpha: float) -> int:
+    """K = ceil(log_alpha(eps0 / eps)): the stages that take eps0 down to eps."""
+    return math.ceil(math.log(eps0 / eps) / math.log(alpha) - 1e-12)
 
 
 def derive_stage_params(
@@ -347,7 +374,7 @@ def derive_stage_params(
         rho = eps / rho_or_B
     else:
         raise ValueError(f"unknown mode: {mode!r}")
-    K = math.ceil(math.log(eps0 / eps) / math.log(alpha) - 1e-12)
+    K = stage_count(eps0, eps, alpha)
     t = math.ceil(alpha**2 * (G_sq + V_sq) / rho**2 - 1e-12)
     return t, K
 

@@ -1,8 +1,10 @@
 """End-to-end bytes: the seeded artifacts of the dense16 benchmark instance
 (the greedy kernel), of the chain demo (the reference's tied switch) and of
-the quadratic demo (the Legendre solve and statistics) against the digests
-recorded in BENCH_21.json, whose trace.csv and expansion.txt digests are still
-those of BENCH_15.json: BENCH_21's atom statistics changed stats.json only."""
+the quadratic demo (the Legendre solve and statistics) against recorded
+digests. The demos' are those of BENCH_21.json, whose trace.csv and
+expansion.txt digests are still those of BENCH_15.json: BENCH_21's atom
+statistics changed stats.json only. dense16's are those of BENCH_24.json,
+whose first step fitted to the stage length changed all three of its files."""
 
 import importlib.util
 import json
@@ -41,7 +43,8 @@ def test_dense16_config_seed_artifacts_match_recorded_digests(tmp_path, monkeypa
     work = tmp_path / "work"
     work.mkdir()
     got = tool.digests(tool.dense16_config(work), None, tmp_path / "out")
-    assert got == recorded("mincut-dense16")
+    bench = json.loads((ROOT / "BENCH_24.json").read_text())
+    assert got == bench["artifact_digests"]["config_seed"]["change"]["mincut-dense16"]
 
 
 def test_chain_demo_config_seed_artifacts_match_recorded_digests(tmp_path):

@@ -652,3 +652,112 @@ def test_failed_run_leaves_earlier_artifacts_byte_identical(tmp_path, capsys, bl
     assert cli.main(["run", str(cfg), "--out", str(out), "--seed", "6"]) == 1
     assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == earlier
     assert sorted(p.name for p in out.iterdir()) == sorted([*earlier, blocked])
+
+
+def without_k(path):
+    text = path.read_text()
+    assert text.count("\nk = 4\n") == 1
+    path.write_text(text.replace("\nk = 4\n", "\n"))
+    return path
+
+
+def test_omitted_k_is_derived_from_eps_target(tmp_path):
+    # k = ceil(log_1.5(16 / 0.01) - 1e-12) = ceil(18.19) = 19: the same
+    # artifacts as the same config with k = 19 written out
+    rsg = {"eps_target": "0.01", "outer_loops": "1"}
+    for sub in ("derived", "written"):
+        (tmp_path / sub).mkdir()
+    derived = without_k(small_quadratic_cfg(tmp_path / "derived", rsg=rsg))
+    written = small_quadratic_cfg(tmp_path / "written", rsg={**rsg, "k": "19"})
+    assert cli.load_config(derived).rsg.k_stages == 19
+    arts = [cli.run_experiment(cli.load_config(path)) for path in (derived, written)]
+    strip = lambda t: "\n".join(ln.rsplit(",", 1)[0] for ln in t.splitlines())
+    assert strip(arts[0]["trace"].read_text()) == strip(arts[1]["trace"].read_text())
+    assert len(arts[0]["trace"].read_text().splitlines()) == 1 + 19
+    for name in ("expansion", "stats"):
+        assert arts[0][name].read_bytes() == arts[1][name].read_bytes()
+
+
+@pytest.mark.parametrize(
+    "rsg, field",
+    [
+        ({"alpha": "1.0001"}, "rsg.outer_loops"),  # k = 119,836 stages: past the stage cap
+        ({"eps0": "1e300", "eps_target": "1e-300"}, "rsg.k"),  # eps0 / eps_target overflows
+        ({"eps0": "1.0000000000000002", "eps_target": "1.0"}, "rsg.k"),  # k = 0
+    ],
+)
+def test_derived_k_takes_the_checks_of_a_written_k(tmp_path, capsys, monkeypatch, rsg, field):
+    def solve(*args, **kwargs):
+        raise AssertionError("the solver must not start")
+
+    monkeypatch.setattr(cli, "restarted_outer", solve)
+    cfg = without_k(small_quadratic_cfg(tmp_path, rsg=rsg))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_probe_exits_2_naming_the_initial_step(tmp_path, capsys):
+    # every weight vanishes on the support: the G^2/V^2 probe reads 0, so the
+    # run needs rsg.initial_step, and says so before any stage runs
+    text = (DEMOS / "mincut.cfg").read_text()
+    assert text.count("initial_step = 0.01\n") == 1
+    cfg = tmp_path / "mincut.cfg"
+    cfg.write_text(text.replace("initial_step = 0.01\n", ""))
+    (tmp_path / "mincut_chain.edges").write_text("source s\nsink t\ns a 0 0\na t 0 0\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: rsg.initial_step:") and "probe read 0.0" in err
+    assert not out.exists()
+
+
+# perfbench/instance.py's DENSE_CONFIG: no initial_step, two outer loops
+DENSE_CONFIG = """\
+[problem]
+kind = mincut:dense16.edges
+
+[measure]
+a = 0.0
+b = 4.0
+quadrature_nodes = 128
+
+[basis]
+kind = piecewise
+
+[rsg]
+eps0 = 4.0
+eps_target = 0.0001
+alpha = 1.2
+t = 50
+k = 20
+outer_loops = 2
+m_schedule = power:shift=10,exponent=0.8,offset=10
+theta_samples = 64
+noise_sigma = 0.0
+seed = 20240502
+
+[stats]
+samples = 10000
+quantiles = 0.1,0.5,0.9
+round_eps = 0.1
+
+[output]
+directory = out-dense16
+"""
+
+
+def test_derived_first_step_reaches_a_dense_graph_within_two_loops(tmp_path):
+    """On a 16-node random_cut_graph G^2 is about 1,600, and the paper's
+    eps0 / (alpha G^2) leaves the run at an error of 4.01 after 40 stages;
+    the step fitted to the stage length, D / sqrt(G^2 t), ends below 0.5."""
+    g = random_cut_graph(np.random.default_rng(0), 16)
+    lines = [f"source {g.source}", f"sink {g.sink}"]
+    lines += [f"{u} {v} {base!r} {slope!r}" for u, v, base, slope in g.edges]
+    (tmp_path / "dense16.edges").write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "dense16.cfg"
+    cfg.write_text(DENSE_CONFIG)
+    paths = cli.run_experiment(cli.load_config(cfg, out_override=tmp_path / "out"))
+    rows = uq.trace_from_csv(paths["trace"].read_text()).rows
+    assert len(rows) == 40 and rows[-1].fn_error_pi < 0.5

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 import uqsubgrad as uq
 from uqsubgrad import basis as bs
 from uqsubgrad.oracle import GVEstimate
-from uqsubgrad.rsg import grow_expansion
+from uqsubgrad import rsg
+from uqsubgrad.rsg import ZeroProbeError, grow_expansion
 from uqsubgrad.submodular import min_cut_value_function, random_cut_graph
 
 from oracles import gap_norm_uncached
@@ -73,6 +75,93 @@ def test_eta_schedule_direct_substitution(unit_measure):
         gv=GVEstimate(4.0, 0.0), trace=trace,
     )
     assert [r.eta for r in trace.rows] == [0.125, 0.0625, 0.03125]
+
+
+# -- the derived first step --------------------------------------------------------
+
+
+def first_eta(p, start, monkeypatch, gv, t=5, **overrides):
+    """The eta of the first stage of a one-stage restarted run from ``start``,
+    with the G^2/V^2 probe reading ``gv`` (None: the probe must not run)."""
+    def probe(*args):
+        assert gv is not None, "the probe must not run"
+        return gv
+
+    monkeypatch.setattr(rsg, "estimate_G_V", probe)
+    cfg = uq.RsgConfig(**{
+        "eps0": 16.0, "eps_target": 0.01, "alpha": 1.5, "t": t, "k_stages": 1,
+        "outer_loops": 1, "m_schedule": lambda j: start.m, "oracle": uq.OracleConfig(4),
+        "seed": 3, **overrides,
+    })
+    _, trace = uq.restarted_outer(p, cfg, start.basis, start=start)
+    return trace.rows[0].eta
+
+
+def paper_and_fitted_steps(total, D, t=5, eps0=16.0, alpha=1.5):
+    return eps0 / (alpha * total), D / math.sqrt(total * t)
+
+
+@pytest.mark.parametrize("total, fitted_wins", [(10.0, False), (1000.0, True)])
+def test_first_step_from_a_ball_start_is_the_larger_of_the_two_steps(
+    quad_problem, quad_measure, monkeypatch, total, fitted_wins
+):
+    # a start outside the ball: D is measured from its projection
+    fam = uq.legendre_family(quad_measure)
+    start = bs.Expansion(np.random.default_rng(5).standard_normal((4, 2)), fam)
+    ball = quad_problem.projection
+    u1 = uq.problems.project_coefficients(start.coefficients, ball)
+    assert not np.array_equal(u1, start.coefficients)
+    D = float(np.linalg.norm(u1)) + ball.radius
+    paper, fitted = paper_and_fitted_steps(total, D)
+    assert (fitted > paper) == fitted_wins
+    assert first_eta(quad_problem, start, monkeypatch, GVEstimate(total, 0.0)) == max(paper, fitted)
+
+
+@pytest.mark.parametrize("total, fitted_wins", [(2.0, False), (500.0, True)])
+def test_first_step_from_a_box_start_is_the_larger_of_the_two_steps(
+    cut_measure, monkeypatch, total, fitted_wins
+):
+    # some entries outside the box [0, 1]: D is the pi-norm of the offsets
+    # to the farthest corner of the clipped start, cell by cell
+    rng = np.random.default_rng(6)
+    p = uq.mincut_problem(random_cut_graph(rng, 5), cut_measure)
+    part = uq.Partition((0.5, 1.7, 3.2))
+    start = bs.Expansion(rng.uniform(-0.3, 1.3, size=(4, 5)), uq.piecewise_family(cut_measure, part))
+    box = p.projection
+    u1 = np.clip(start.coefficients, box.lo, box.hi)
+    assert not np.array_equal(u1, start.coefficients)
+    offsets = np.maximum(u1 - box.lo, box.hi - u1)
+    D = float(np.sqrt(np.sum(bs.cell_measures(part, cut_measure)[:, None] * offsets**2)))
+    paper, fitted = paper_and_fitted_steps(total, D)
+    assert (fitted > paper) == fitted_wins
+    assert first_eta(p, start, monkeypatch, GVEstimate(total, 0.0)) == max(paper, fitted)
+
+
+def test_first_step_set_in_the_config_is_used_as_given(quad_problem, quad_measure, monkeypatch):
+    start = bs.zero_expansion(uq.legendre_family(quad_measure), 4, 2)
+    assert first_eta(quad_problem, start, monkeypatch, None, initial_step=0.037) == 0.037
+
+
+def test_first_step_without_projection_is_the_papers(unit_measure, monkeypatch):
+    # no feasible set, no distance D: eps0 / (alpha (G^2 + V^2)) however large G^2 is
+    start = bs.zero_expansion(uq.legendre_family(unit_measure), 3, 2)
+    p = zero_subgradient_problem()
+    for total in (0.5, 1e6):
+        eta = first_eta(p, start, monkeypatch, GVEstimate(total, 0.0), t=50)
+        assert eta == paper_and_fitted_steps(total, 1.0)[0]
+
+
+def test_zero_probe_stops_before_any_stage(unit_measure):
+    start = bs.zero_expansion(uq.legendre_family(unit_measure), 3, 2)
+    cfg = uq.RsgConfig(
+        eps0=1.0, eps_target=0.01, alpha=2.0, t=3, k_stages=2, outer_loops=2,
+        m_schedule=lambda j: 3, oracle=uq.OracleConfig(4), seed=0,
+    )
+    stages = []
+    with pytest.raises(ZeroProbeError, match="G\\^2/V\\^2 probe read 0.0"):
+        uq.restarted_outer(zero_subgradient_problem(), cfg, start.basis, start=start,
+                           on_stage=lambda e, row: stages.append(row))
+    assert stages == []
 
 
 # -- subroutine behaviour ----------------------------------------------------------
