@@ -82,8 +82,9 @@ def _parse_m_schedule(text: str) -> Callable[[int], int]:
 
 FAMILIES = {"legendre": bs.legendre_family, "piecewise": bs.piecewise_family}
 
-# The Gauss-Legendre rule is an eigensolve of an n x n matrix: 1024 nodes take
-# about 0.2 s and 18 MB, 5000 nodes 6-7 s and 200 MB.
+# The Gauss-Legendre rule takes four Newton steps of an n-term recurrence on
+# n / 2 nodes: 1024 nodes take about 14 ms and 40 kB, 5000 nodes 0.15 s and
+# 180 kB.
 MAX_QUADRATURE_NODES = 1024
 
 # RsgConfig evaluates the schedule once per stage when the config loads, and

@@ -3,6 +3,8 @@ replaced with faster ones, kept as references for the tests."""
 
 from __future__ import annotations
 
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -74,3 +76,36 @@ def exact_envelope_kinks(graph) -> list[Fraction]:
         base, slope = min(((b, s) for b, s in flatter if (b - base) / (slope - s) == x),
                           key=lambda line: line[1])
     return kinks
+
+
+def gauss_legendre_decimal(n: int, digits: int = 40) -> tuple[list, list]:
+    """The n-node Gauss-Legendre rule in ``digits``-digit decimal arithmetic:
+    Newton's method on L_n by the three-term recurrence from Tricomi's
+    guesses, each root iterated until its step falls below 10^-(digits - 5),
+    and the weights 2 / ((1 - x^2) L_n'(x)^2). Nodes increasing."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        tol = Decimal(10) ** (5 - digits)
+
+        def legendre(x):
+            """L_{n-1}(x), L_n(x) and L_n'(x) = n (L_{n-1} - x L_n) / (1 - x^2)."""
+            p0, p1 = Decimal(1), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            return p1, n * (p0 - x * p1) / (1 - x * x)
+
+        nodes, weights = [], []
+        for k in range(1, n + 1):
+            x = Decimal(math.cos(math.pi * (4 * k - 1) / (4 * n + 2)))
+            for _ in range(100):
+                value, slope = legendre(x)
+                step = value / slope
+                x -= step
+                if abs(step) < tol:
+                    break
+            else:
+                raise ArithmeticError(f"root {k} of L_{n} did not converge")
+            slope = legendre(x)[1]
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * slope * slope))
+    return nodes[::-1], weights[::-1]

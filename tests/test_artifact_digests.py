@@ -1,10 +1,8 @@
 """End-to-end bytes: the seeded artifacts of the dense16 benchmark instance
 (the greedy kernel), of the chain demo (the reference's tied switch) and of
-the quadratic demo (the Legendre solve and statistics) against recorded
-digests. The demos' are those of BENCH_21.json, whose trace.csv and
-expansion.txt digests are still those of BENCH_15.json: BENCH_21's atom
-statistics changed stats.json only. dense16's are those of BENCH_24.json,
-whose first step fitted to the stage length changed all three of its files."""
+the quadratic demo (the Legendre solve and statistics) against the digests
+of BENCH_25.json, whose Newton Gauss-Legendre rule moved every trace.csv and
+stats.json digest and the quadratic demo's expansion.txt."""
 
 import importlib.util
 import json
@@ -24,15 +22,9 @@ def load_tool():
 
 
 def recorded(name: str) -> dict:
-    """BENCH_21.json's config-seed digests of ``name``, after checking its
-    trace.csv and expansion.txt digests against BENCH_15.json's."""
-    new, old = (
-        json.loads((ROOT / bench).read_text())["artifact_digests"]["config_seed"]["change"][name]
-        for bench in ("BENCH_21.json", "BENCH_15.json")
-    )
-    assert {k: new[k] for k in ("trace.csv", "expansion.txt")} == \
-        {k: old[k] for k in ("trace.csv", "expansion.txt")}
-    return new
+    """BENCH_25.json's config-seed digests of ``name``."""
+    bench = json.loads((ROOT / "BENCH_25.json").read_text())
+    return bench["artifact_digests"]["config_seed"]["change"][name]
 
 
 def test_dense16_config_seed_artifacts_match_recorded_digests(tmp_path, monkeypatch):
@@ -43,8 +35,7 @@ def test_dense16_config_seed_artifacts_match_recorded_digests(tmp_path, monkeypa
     work = tmp_path / "work"
     work.mkdir()
     got = tool.digests(tool.dense16_config(work), None, tmp_path / "out")
-    bench = json.loads((ROOT / "BENCH_24.json").read_text())
-    assert got == bench["artifact_digests"]["config_seed"]["change"]["mincut-dense16"]
+    assert got == recorded("mincut-dense16")
 
 
 def test_chain_demo_config_seed_artifacts_match_recorded_digests(tmp_path):

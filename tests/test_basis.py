@@ -3,6 +3,7 @@ import pytest
 
 import uqsubgrad as uq
 from uqsubgrad import basis as bs
+from uqsubgrad import measure
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +321,7 @@ def test_legendre_vandermonde_equals_numpy_legvander_bitwise(deg):
     the 128 Gauss nodes and on a stage-shaped block holding both ends."""
     block = np.random.default_rng(deg).uniform(-1.0, 1.0, size=(50, 64))
     block[0, :2] = -1.0, 1.0
-    for x in (np.polynomial.legendre.leggauss(128)[0], block):
+    for x in (measure._gauss_legendre(128)[0], block):
         V, ref = bs._legvander(x, deg), np.polynomial.legendre.legvander(x, deg)
         assert V.shape == ref.shape == x.shape + (deg + 1,)
         assert V.strides == ref.strides and V.tobytes() == ref.tobytes()

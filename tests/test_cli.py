@@ -10,7 +10,7 @@ import pytest
 
 import uqsubgrad as uq
 from uqsubgrad import basis as bs
-from uqsubgrad import cli
+from uqsubgrad import cli, measure
 from uqsubgrad.submodular import random_cut_graph
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -418,6 +418,26 @@ def test_run_does_not_import_numpy_ma(tmp_path, demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+LAPACK_CALLS = ("eigvalsh", "eigh", "eig", "svd", "solve", "lstsq", "qr", "cholesky")
+
+
+@pytest.mark.parametrize("demo", ["quadratic.cfg", "mincut.cfg"])
+def test_run_makes_no_lapack_call(tmp_path, monkeypatch, demo):
+    """The Gauss-Legendre rule is built by Newton's method, and nothing else
+    in a run factors or solves a matrix: OpenBLAS's LAPACK pages stay out of
+    the resident set."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run called LAPACK")
+
+    measure._gauss_legendre.cache_clear()
+    for name in LAPACK_CALLS:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(DEMOS / demo), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["expansion.txt", "stats.json", "trace.csv"]
 
 
 @pytest.mark.parametrize("family", ["legendre", "piecewise"])

@@ -1,8 +1,10 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
 import uqsubgrad as uq
-from oracles import sample_theta
+from oracles import gauss_legendre_decimal, sample_theta
 from uqsubgrad import measure
 
 
@@ -101,11 +103,53 @@ def test_composite_rule_matches_global_on_smooth(unit_measure):
     assert composite == pytest.approx(direct, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64, 127, 128, 129])
+def test_gauss_legendre_rule_matches_a_40_digit_rule(n):
+    """Every node within 2.3e-16 (two ulps below 1) and every weight within
+    1e-12 relative of the decimal rule; n = 128 is the default node count."""
+    x, w = measure._gauss_legendre(n)
+    ref_x, ref_w = gauss_legendre_decimal(n)
+    assert x.shape == w.shape == (n,)
+    assert max(abs(Decimal(float(a)) - b) for a, b in zip(x, ref_x)) <= Decimal("2.3e-16")
+    assert max(abs(Decimal(float(a)) / b - 1) for a, b in zip(w, ref_w)) <= Decimal("1e-12")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64, 127, 128, 129, 1024])
-def test_gauss_legendre_rule_equals_numpy_leggauss_bitwise(n):
-    """The package's rule repeats numpy's leggauss operation by operation:
-    n = 1 is numpy's 1x1 companion branch, 128 the default node count."""
+def test_gauss_legendre_rule_is_exactly_symmetric(n):
+    x, w = measure._gauss_legendre(n)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and w.tobytes() == w[::-1].tobytes()
+    if n % 2:
+        assert x[n // 2] == 0.0
+
+
+def test_gauss_legendre_rule_integrates_even_moments_at_1024_nodes():
+    """sum w x^(2k) = 2 / (2k + 1) for k < 200, all of degree < 2n."""
+    x, w = measure._gauss_legendre(1024)
+    k = np.arange(200)
+    moments = (w[:, None] * x[:, None] ** (2 * k)).sum(axis=0)
+    assert np.abs(moments - 2 / (2 * k + 1)).max() <= 2e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64, 127, 128, 129, 1024])
+def test_gauss_legendre_rule_agrees_with_numpy_leggauss(n):
+    """Within numpy's own error: its eigensolver's weights drift from the exact
+    ones as n grows, to about 1.2e-9 relative at 1024 nodes."""
     x, w = measure._gauss_legendre(n)
     ref_x, ref_w = np.polynomial.legendre.leggauss(n)
-    assert x.shape == w.shape == ref_x.shape == (n,)
-    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+    assert np.abs(x - ref_x).max() <= 2.3e-16
+    assert np.abs(w / ref_w - 1).max() <= 2e-9
+
+
+def test_cached_gauss_legendre_rule_is_read_only():
+    """Every measure and composite rule shares the cached arrays: an in-place
+    write raises, so a later measure still gets the exact rule."""
+    x, w = measure._gauss_legendre(16)
+    expected = x.tobytes(), w.tobytes()
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+        with pytest.raises(ValueError):
+            a *= 2.0
+    m = uq.ThetaMeasure(-1.0, 1.0, quadrature_nodes=16)
+    assert (m.nodes.tobytes(), (2.0 * m.weights).tobytes()) == expected
