@@ -64,7 +64,6 @@ from .rsg import (
     restarted_outer,
     rsg_loop,
     sg_subroutine,
-    trace_from_csv,
     trace_to_csv,
 )
 

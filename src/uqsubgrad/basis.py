@@ -405,10 +405,6 @@ def truncate(e: Expansion, m_new: int) -> tuple[Expansion, float]:
     return Expansion(e.basis.kept_rows(c, m_new), e.basis), e.basis.tail_norm(c, m_new)
 
 
-def is_finer(fine: Partition, coarse: Partition) -> bool:
-    return set(coarse.breakpoints).issubset(fine.breakpoints)
-
-
 def transfer_coefficients(e: Expansion, p_new: Partition) -> Expansion:
     """Re-express a piecewise expansion over a finer partition.
 
@@ -418,7 +414,7 @@ def transfer_coefficients(e: Expansion, p_new: Partition) -> Expansion:
     if not isinstance(e.basis, PiecewiseFamily):
         raise ValueError("coefficient transfer applies to the piecewise family")
     old = e.basis.partition
-    if not is_finer(p_new, old):
+    if not set(old.breakpoints).issubset(p_new.breakpoints):
         raise ValueError("target partition is not finer than the source")
     mes = e.basis.measure
     mids = 0.5 * (cell_edges(p_new, mes)[:-1] + cell_edges(p_new, mes)[1:])

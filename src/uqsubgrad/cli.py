@@ -8,8 +8,6 @@ Subcommands
     rolled back on a failure).
 ``uqsubgrad stats <expansion-file> <config> [--out DIR]``
     Recompute the statistics report for a saved expansion.
-``uqsubgrad curve <trace.csv> [--out FILE]``
-    Emit the plot-ready error curve (one row per inner-subroutine call).
 
 Exit codes: 0 success, 2 config errors (one-line diagnostic naming the field),
 1 runtime failures.
@@ -36,9 +34,7 @@ from . import basis as bs
 from .measure import ThetaMeasure
 from .oracle import OracleConfig
 from .problems import NoiseModel, ProblemSpec, mincut_problem, quadratic_problem
-from .rsg import (
-    RsgConfig, RunTrace, ZeroProbeError, restarted_outer, stage_count, trace_from_csv, trace_to_csv,
-)
+from .rsg import RsgConfig, ZeroProbeError, restarted_outer, stage_count, trace_to_csv
 from .submodular import CutGraph, min_cut_value_function, parse_cut_graph, threshold_round
 
 
@@ -99,6 +95,11 @@ MAX_STAGES = 100_000
 # that would change the seeded noise stream.
 MAX_STAGE_DOUBLES = 2**24
 
+# compute_statistics holds its atoms' values, weights and sort order: at m = 32
+# and q = 2, 10**6 atoms take 1.1-1.5 s and 56 MB (tracemalloc), 4 * 10**6
+# take 4.4-5.1 s and 224 MB. A piecewise expansion does not use the count.
+MAX_STATS_SAMPLES = 10**6
+
 REQUIRED = object()  # the FIELDS default of a key every config must set
 _ANY = ("", lambda v: True)
 _AT_LEAST_1 = ("must be >= 1", lambda v: v >= 1)
@@ -129,7 +130,8 @@ FIELDS = {
     "rsg.noise_sigma": (float, "0.0", ("must be >= 0", lambda v: v >= 0)),
     "rsg.seed": (int, "0", ("must be >= 0", lambda v: v >= 0)),
     "rsg.initial_step": (float, None, _POSITIVE),
-    "stats.samples": (int, "10000", _AT_LEAST_1),
+    "stats.samples": (int, "10000", (f"must lie in [1, {MAX_STATS_SAMPLES}]",
+                                     lambda v: 1 <= v <= MAX_STATS_SAMPLES)),
     "stats.quantiles": (lambda text: tuple(float(q) for q in text.split(",")), "0.1,0.5,0.9",
                         ("needs values in [0, 1], none repeated",
                          lambda v: all(0 <= q <= 1 for q in v) and len(set(v)) == len(v))),
@@ -168,9 +170,6 @@ class ExperimentConfig:
 
     def build_family(self) -> bs.BasisFamily:
         return FAMILIES[self.basis_kind](self.measure)
-
-    def reference_values(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-        return PROBLEMS[self.problem_kind][2](self)
 
     def statistics(self, e: bs.Expansion) -> StatsReport:
         return compute_statistics(e, self.stats_samples, self.stats_quantiles,
@@ -368,16 +367,6 @@ def compute_statistics(
     )
 
 
-def error_curve(trace: RunTrace) -> str:
-    """Plot-ready CSV keyed by inner-subroutine call count."""
-    if not trace.rows:
-        raise ValueError("empty trace")
-    lines = ["call_index,fn_error_pi,fn_error_pi_sq"]
-    for r in trace.rows:
-        lines.append(f"{r.call_index},{r.fn_error_pi!r},{r.fn_error_pi_sq!r}")
-    return "\n".join(lines) + "\n"
-
-
 # -- Execution -------------------------------------------------------------------
 
 
@@ -428,9 +417,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
         block = rsg.t * rsg.oracle.theta_samples_per_call * (top + 1 + q)
         _require(block <= MAX_STAGE_DOUBLES, "rsg.t", f"t * theta_samples * (m + 1 + q) = {block} "
                  f"doubles at m={top}, q={q}, above the stage cap of {MAX_STAGE_DOUBLES}")
-    family = cfg.build_family()
+    family, reference = cfg.build_family(), PROBLEMS[cfg.problem_kind][2](cfg)
     try:
-        final, trace = restarted_outer(problem, rsg, family, reference_values=cfg.reference_values())
+        final, trace = restarted_outer(problem, rsg, family, reference_values=reference)
     except ZeroProbeError as exc:
         raise ConfigError(f"rsg.initial_step: needed here, as {exc}") from exc
     report = cfg.statistics(final)
@@ -473,23 +462,10 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_curve(args) -> int:
-    trace_path = Path(args.trace)
-    if not trace_path.is_file():
-        raise ConfigError(f"trace file not found: {trace_path}")
-    curve = error_curve(trace_from_csv(trace_path.read_text()))
-    if args.out:
-        _write_all({Path(args.out): curve})
-        print(args.out)
-    else:
-        sys.stdout.write(curve)
-    return 0
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="uqsubgrad",
-        description="theta-dependent optimisation experiments (run / stats / curve)",
+        description="theta-dependent optimisation experiments (run / stats)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run an experiment from a config file")
@@ -501,11 +477,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     stats_p.add_argument("expansion")
     stats_p.add_argument("config")
     stats_p.set_defaults(fn=_cmd_stats)
-
-    curve_p = sub.add_parser("curve", help="emit the error curve for a trace")
-    curve_p.add_argument("trace")
-    curve_p.set_defaults(fn=_cmd_curve)
-    for p in (run_p, stats_p, curve_p):
+    for p in (run_p, stats_p):
         p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)

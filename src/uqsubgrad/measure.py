@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -17,8 +17,6 @@ import numpy as np
 # array of thetas and return shape (n,) for scalar fields or (n, q) for
 # q-vector fields. Evaluating twice at the same theta must give the same value.
 ScalarField = Callable[[np.ndarray], np.ndarray]
-
-ArrayLike = Union[float, np.ndarray]
 
 
 @cache
@@ -93,7 +91,7 @@ class ThetaMeasure:
     def weights(self) -> np.ndarray:
         return self._rule[1]
 
-    def contains(self, theta: ArrayLike, tol: float = 1e-12) -> bool:
+    def contains(self, theta: float | np.ndarray, tol: float = 1e-12) -> bool:
         t = np.asarray(theta, dtype=float)
         return bool(np.all(t >= self.a - tol) and np.all(t <= self.b + tol))
 

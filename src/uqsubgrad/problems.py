@@ -338,8 +338,9 @@ def mincut_problem(g: CutGraph, measure: ThetaMeasure) -> ProblemSpec:
 
     q = number of non-terminal nodes; objective/subgradient are the greedy
     chain evaluated in batch; feasible set is the unit box per cell. The
-    Lipschitz field is a sampled bound on greedy-vertex norms at the support
-    endpoints (affine weights peak there), with a 1.25 safety factor.
+    Lipschitz field bounds every greedy vertex: |g_i| is at most the weight
+    incident to node i, whose absolute value is convex in theta, so the norm
+    of those weights peaks at a support end.
     """
     lo, hi = g.theta_range
     if not (lo <= measure.a and measure.b <= hi):
@@ -372,13 +373,9 @@ def mincut_problem(g: CutGraph, measure: ThetaMeasure) -> ProblemSpec:
 
         return step
 
-    probe_rng = np.random.default_rng(1234)
-    worst = 0.0
-    for th in (measure.a, measure.b):
-        xs = probe_rng.random((256, q))
-        _, grads = _greedy_batch(edges, xs, np.full(256, th))
-        worst = max(worst, float(np.linalg.norm(grads, axis=-1).max()))
-    lip = 1.25 * worst
+    incident = [np.bincount(edges.column, np.abs(edges.base + edges.slope * th))[:q]
+                for th in (measure.a, measure.b)]
+    lip = float(max(np.linalg.norm(w) for w in incident))
 
     return ProblemSpec(
         dimension=q,

@@ -112,14 +112,6 @@ class TraceRow:
 @dataclass
 class RunTrace:
     rows: list[TraceRow] = field(default_factory=list)
-    rsg_calls: int = 0
-
-    def append(self, row: TraceRow):
-        self.rows.append(row)
-
-    @property
-    def call_count(self) -> int:
-        return len(self.rows)
 
 
 def coefficient_hash(e: bs.Expansion) -> str:
@@ -137,22 +129,6 @@ def trace_to_csv(trace: RunTrace) -> str:
             f"{r.fn_error_pi!r},{r.fn_error_pi_sq!r},{r.elapsed_ms!r}"
         )
     return "\n".join(lines) + "\n"
-
-
-def trace_from_csv(text: str) -> RunTrace:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
-        raise ValueError("not a trace CSV (bad header)")
-    trace = RunTrace()
-    for ln in lines[1:]:
-        c = ln.split(",")
-        trace.append(
-            TraceRow(
-                int(c[0]), int(c[1]), int(c[2]), int(c[3]),
-                float(c[4]), float(c[5]), float(c[6]), float(c[7]),
-            )
-        )
-    return trace
 
 
 # -- Algorithm layers ---------------------------------------------------------
@@ -251,7 +227,7 @@ def rsg_loop(
         if trace is not None:
             err = float("nan") if error_fn is None else error_fn(e)
             row = TraceRow(
-                call_index=trace.call_count + 1,
+                call_index=len(trace.rows) + 1,
                 outer_i=outer_i,
                 stage_k=k,
                 m=e.m,
@@ -261,7 +237,7 @@ def rsg_loop(
                 elapsed_ms=elapsed_ms,
                 coeff_hash=coefficient_hash(e),
             )
-            trace.append(row)
+            trace.rows.append(row)
             if on_stage is not None:
                 on_stage(e, row)
         eta = eta / alpha
@@ -315,7 +291,6 @@ def restarted_outer(
             cfg.oracle, rng, initial_step=step,
             trace=trace, outer_i=i, error_fn=error_fn, on_stage=on_stage,
         )
-        trace.rsg_calls += 1
         if error_fn is not None:
             err = trace.rows[-1].fn_error_pi
             if (

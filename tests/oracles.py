@@ -12,6 +12,7 @@ import numpy as np
 
 import uqsubgrad as uq
 from uqsubgrad import basis as bs
+from uqsubgrad import rsg
 
 
 def chain_relaxation_closed_form(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -51,6 +52,15 @@ def gap_norm_uncached(p, e: bs.Expansion, reference_values) -> float:
     nodes, weights = e.basis.rule()
     gap = p.objective(bs.synthesize(e, nodes), nodes) - reference_values(nodes)
     return float(np.sqrt(max(np.dot(weights, gap**2), 0.0)))
+
+
+def trace_rows(text: str) -> list[rsg.TraceRow]:
+    """The rows of a trace CSV, its header checked against
+    ``rsg.TRACE_COLUMNS``; ``coeff_hash``, which the CSV leaves out, stays empty."""
+    header, *lines = text.splitlines()
+    assert tuple(header.split(",")) == rsg.TRACE_COLUMNS
+    return [rsg.TraceRow(*map(int, c[:4]), *map(float, c[4:]))
+            for c in (ln.split(",") for ln in lines)]
 
 
 def exact_envelope_kinks(graph) -> list[Fraction]:

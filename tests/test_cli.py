@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +13,8 @@ import uqsubgrad as uq
 from uqsubgrad import basis as bs
 from uqsubgrad import cli, measure
 from uqsubgrad.submodular import random_cut_graph
+
+from oracles import trace_rows
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -76,6 +79,7 @@ def test_config_errors_name_the_field(tmp_path):
         ("rsg", "initial_step", "0"),
         ("rsg", "initial_step", "-1"),
         ("stats", "samples", "0"),
+        ("stats", "samples", str(cli.MAX_STATS_SAMPLES + 1)),
         ("stats", "round_eps", "0"),
         ("stats", "round_eps", "1.5"),
         ("measure", "quadrature_nodes", "0"),
@@ -135,6 +139,11 @@ def test_stage_cap_itself_loads(tmp_path):
     assert cli.load_config(cfg).rsg.t * 16 * 16 == cli.MAX_STAGE_DOUBLES
 
 
+def test_stats_samples_cap_itself_loads(tmp_path):
+    cfg = small_quadratic_cfg(tmp_path, stats={"samples": str(cli.MAX_STATS_SAMPLES)})
+    assert cli.load_config(cfg).stats_samples == cli.MAX_STATS_SAMPLES
+
+
 def test_noise_block_counts_in_the_stage_cap(tmp_path, capsys, monkeypatch):
     """With noise on, a stage also holds t * theta_samples * q noise doubles:
     the check runs once the problem states q, before solving."""
@@ -173,8 +182,7 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert set(paths) == {"trace", "expansion", "stats"}
     for p in paths.values():
         assert p.is_file()
-    trace = uq.trace_from_csv(paths["trace"].read_text())
-    assert trace.rows[0].call_index == 1
+    assert trace_rows(paths["trace"].read_text())[0].call_index == 1
     e = uq.expansion_from_text(paths["expansion"].read_text())
     assert e.q == 2
     report = json.loads(paths["stats"].read_text())
@@ -199,9 +207,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["run", str(bad)]) == 2
     p = small_quadratic_cfg(tmp_path)
     assert cli.main(["run", str(p), "--out", str(tmp_path / "ok")]) == 0
-    assert cli.main(["curve", str(tmp_path / "ok" / "trace.csv")]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[-1].count(",") == 2
+    with pytest.raises(SystemExit) as exc:  # an unknown subcommand is an argparse error
+        cli.main(["curve", str(tmp_path / "ok" / "trace.csv")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'curve'" in capsys.readouterr().err
+
+
+def test_readme_commands_are_the_cli_subcommands(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    listed = re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1).split(",")
+    readme = (DEMOS.parent / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    assert sorted({ln.split()[1] for ln in block.splitlines()}) == sorted(listed)
 
 
 def test_run_skips_edges_that_are_never_cut(tmp_path):
@@ -511,24 +529,6 @@ def test_statistics_cut_frequencies(cut_measure, demo_graph):
     assert sum(rep.cut_frequencies.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_error_curve_shape_and_monotone_index(tmp_path):
-    cfg = cli.load_config(small_quadratic_cfg(tmp_path), out_override=tmp_path / "o")
-    paths = cli.run_experiment(cfg)
-    trace = uq.trace_from_csv(paths["trace"].read_text())
-    curve = cli.error_curve(trace)
-    lines = curve.strip().splitlines()
-    assert lines[0] == "call_index,fn_error_pi,fn_error_pi_sq"
-    assert len(lines) == len(trace.rows) + 1
-    idx = [int(ln.split(",")[0]) for ln in lines[1:]]
-    assert idx == sorted(idx) and len(set(idx)) == len(idx)
-
-    one = uq.RunTrace()
-    one.append(uq.rsg.TraceRow(1, 1, 1, 4, 0.1, 0.5, 0.25, 1.0))
-    assert len(cli.error_curve(one).strip().splitlines()) == 2
-    with pytest.raises(ValueError):
-        cli.error_curve(uq.RunTrace())
-
-
 def test_cusp_pattern_in_quadratic_curve(tmp_path):
     cfg = cli.load_config(
         small_quadratic_cfg(
@@ -538,9 +538,9 @@ def test_cusp_pattern_in_quadratic_curve(tmp_path):
         out_override=tmp_path / "c",
     )
     paths = cli.run_experiment(cfg)
-    trace = uq.trace_from_csv(paths["trace"].read_text())
-    errs = np.array([r.fn_error_pi for r in trace.rows])
-    loops = np.array([r.outer_i for r in trace.rows])
+    rows = trace_rows(paths["trace"].read_text())
+    errs = np.array([r.fn_error_pi for r in rows])
+    loops = np.array([r.outer_i for r in rows])
     # non-monotone overall (restart bumps) ...
     assert np.any(np.diff(errs) > 0)
     # ... while the outer-loop envelope decreases
@@ -779,5 +779,5 @@ def test_derived_first_step_reaches_a_dense_graph_within_two_loops(tmp_path):
     cfg = tmp_path / "dense16.cfg"
     cfg.write_text(DENSE_CONFIG)
     paths = cli.run_experiment(cli.load_config(cfg, out_override=tmp_path / "out"))
-    rows = uq.trace_from_csv(paths["trace"].read_text()).rows
+    rows = trace_rows(paths["trace"].read_text())
     assert len(rows) == 40 and rows[-1].fn_error_pi < 0.5

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -211,12 +213,25 @@ def test_mincut_polyhedral_error_bound(demo_graph):
         assert kappa > 0.05
 
 
-def test_mincut_lipschitz_bounds_vertices(cut_problem):
+def test_mincut_lipschitz_bounds_vertices(cut_problem, demo_graph, cut_measure):
+    # the chain's incident weights at theta = 4 are (4 + 2, 2 + 3)
+    assert cut_problem.lipschitz == math.sqrt(61)
     rng = np.random.default_rng(37)
     X = rng.random((500, 2))
     thetas = rng.uniform(0.0, 4.0, size=500)
     g = cut_problem.subgradient(X, thetas)
     assert np.linalg.norm(g, axis=-1).max() <= cut_problem.lipschitz
+    # every greedy vertex is the subgradient at some strict ordering of x, and
+    # a vertex's norm is convex in theta, so the support ends bound it
+    graphs = [demo_graph] + [random_cut_graph(np.random.default_rng(seed), n)
+                             for seed in range(3) for n in range(2, 7)]
+    for graph in graphs:
+        p = uq.mincut_problem(graph, cut_measure)
+        q = p.dimension
+        X = (np.array(list(itertools.permutations(range(q))), dtype=float) + 1) / (q + 1)
+        for theta in (cut_measure.a, cut_measure.b):
+            g = p.subgradient(X, np.full(len(X), theta))
+            assert np.linalg.norm(g, axis=-1).max() <= p.lipschitz
 
 
 # -- projections --------------------------------------------------------------------
