@@ -26,7 +26,7 @@ from typing import ClassVar, Optional, Union
 
 import numpy as np
 
-from .measure import ScalarField, ThetaMeasure
+from .measure import ScalarField, ThetaMeasure, eval_field
 
 class PartitionRejection(ValueError):
     """Raised when a refinement point duplicates a breakpoint or hits the
@@ -101,10 +101,11 @@ class BasisFamily:
     ProjectionSpec kind its coefficients pair with. Subclasses provide
     ``rows(m)`` (coefficient rows at level m), ``check_level`` (the
     estimator's levels), ``design``/``apply`` (evaluation at thetas),
-    ``weighted_sum``/``sample_scale`` (the estimator's sum and divisor),
-    ``rule``, ``analyze``, ``tail_norm`` (pi-norm of rows m onward),
-    ``kept_rows`` (truncation), ``grow`` and ``reference_tail_norm``. The
-    defaults below suit any family: no largest level (``max_level``), a
+    ``weighted_sum``/``sample_scale`` (the estimator's sum and divisor,
+    which :func:`analyze` applies on the family's one quadrature
+    ``rule``), ``tail_norm`` (pi-norm of rows m onward), ``kept_rows``
+    (truncation), ``grow`` and ``reference_tail_norm``. The defaults
+    below suit any family: no largest level (``max_level``), a
     header of kind, support and rule only, and statistics atoms at n
     midpoints (``atoms``).
     """
@@ -210,14 +211,8 @@ class LegendreFamily(BasisFamily):
     def sample_scale(self, n: int) -> int:
         return n
 
-    def rule(self, nodes_per_cell: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    def rule(self) -> tuple[np.ndarray, np.ndarray]:
         return self.measure.nodes, self.measure.weights
-
-    def analyze(self, f: ScalarField, m: int) -> Expansion:
-        mes = self.measure
-        vals = np.asarray(f(mes.nodes), dtype=float).reshape(len(mes.nodes), -1)
-        coeffs = np.einsum("nm,n,nq->mq", self.eval_matrix(mes.nodes, m), mes.weights, vals)
-        return Expansion(coeffs, self)
 
     def tail_norm(self, c: np.ndarray, m: int) -> float:
         return float(np.linalg.norm(c[m:]))
@@ -273,19 +268,8 @@ class PiecewiseFamily(BasisFamily):
     def sample_scale(self, n: int) -> np.ndarray:
         return n * cell_measures(self.partition, self.measure)[:, None]
 
-    def rule(self, nodes_per_cell: int = 8) -> tuple[np.ndarray, np.ndarray]:
-        return self.measure.composite_rule(self.partition.breakpoints, nodes_per_cell)
-
-    def analyze(self, f: ScalarField, m: int) -> Expansion:
-        """Per-cell averages on a cell-aligned composite rule."""
-        part, mes = self.partition, self.measure
-        if m != part.n_cells:
-            raise ValueError(f"piecewise analysis needs m == n_cells ({part.n_cells})")
-        nodes, weights = self.rule(16)
-        vals = np.asarray(f(nodes), dtype=float).reshape(len(nodes), -1)
-        acc = np.zeros((part.n_cells, vals.shape[1]))
-        np.add.at(acc, cell_index(part, mes, nodes), weights[:, None] * vals)
-        return Expansion(acc / cell_measures(part, mes)[:, None], self)
+    def rule(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.measure.composite_rule(self.partition.breakpoints)
 
     def tail_norm(self, c: np.ndarray, m: int) -> float:
         w = cell_measures(self.partition, self.measure)
@@ -311,8 +295,8 @@ class PiecewiseFamily(BasisFamily):
     def reference_tail_norm(self, f: ScalarField, m: int) -> float:
         """Distance of f from its cell averages: the partition is the level."""
         proj = analyze(f, self, self.partition.n_cells)
-        nodes, weights = self.rule(16)
-        diff = np.asarray(f(nodes), float).reshape(len(nodes), -1) - synthesize(proj, nodes)
+        nodes, weights = self.rule()
+        diff = eval_field(f, nodes) - synthesize(proj, nodes)
         return float(np.sqrt(max(np.einsum("nq,nq,n->", diff, diff, weights), 0.0)))
 
     def header(self) -> list[str]:
@@ -382,10 +366,13 @@ def synthesize(e: Expansion, theta: Union[float, np.ndarray]) -> np.ndarray:
 
 def analyze(f: ScalarField, b: BasisFamily, m: int) -> Expansion:
     """Project a field onto the first m basis functions, in the family's
-    coordinates. Inverse of synthesize on the span of the family."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return b.analyze(f, m)
+    coordinates: the subgradient estimator's sum and divisor on the family's
+    quadrature rule, each node weighing its weight, at the levels the
+    estimator accepts. Inverse of synthesize on the span of the family."""
+    b.check_level(m, b.rows(m))
+    nodes, w = b.rule()
+    g = w[:, None] * eval_field(f, nodes)
+    return Expansion(b.weighted_sum(b.design(nodes, m), g, m) / b.sample_scale(1), b)
 
 
 def expansion_pi_norm(e: Expansion) -> float:
@@ -464,10 +451,15 @@ def expansion_from_text(text: str) -> Expansion:
     for ln in lines[1:]:
         if ":" not in ln:
             break
-        key, _, val = ln.partition(":")
-        fields[key.strip()] = val.strip()
+        key, val = (part.strip() for part in ln.split(":", 1))
+        if key in fields:
+            raise ValueError(f"field {key!r} given twice")
+        fields[key] = val
         body_at += 1
 
+    unknown = fields.keys() - {"kind", "support", "quadrature_nodes", "shape", "breakpoints"}
+    if unknown:
+        raise ValueError(f"unknown field(s) {sorted(unknown)}")
     missing = {"kind", "support", "quadrature_nodes", "shape"} - fields.keys()
     if missing:
         raise ValueError(f"missing field(s) {sorted(missing)}")
@@ -488,7 +480,7 @@ def expansion_from_text(text: str) -> Expansion:
     fam = _FAMILIES[fields["kind"]].from_header(mes, fields)
 
     m, q = numbers("shape", int, 2)
-    rows = [[float(v) for v in ln.split()] for ln in lines[body_at : body_at + m]]
+    rows = [[float(v) for v in ln.split()] for ln in lines[body_at:]]
     coeffs = np.asarray(rows, dtype=float)
     if coeffs.shape != (m, q):
         raise ValueError(f"expected a {m}x{q} coefficient block, got {coeffs.shape}")

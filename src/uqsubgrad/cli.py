@@ -217,7 +217,7 @@ def load_config(path: Path, seed_override: Optional[int] = None,
         _require(any(name.startswith(f"{section}.") for name in FIELDS), section, "unknown section")
 
     a, b = _field(cp, "measure.a"), _field(cp, "measure.b")
-    _require(a < b, "measure.b", "need a < b")
+    _require(0 < b - a < np.inf, "measure.b", "need a < b and a finite b - a")
     measure = ThetaMeasure(a, b, quadrature_nodes=_field(cp, "measure.quadrature_nodes"))
     kind, graph = _field(cp, "problem.kind"), None
     mu, l_max = _field(cp, "problem.mu"), _field(cp, "problem.l")
@@ -230,6 +230,8 @@ def load_config(path: Path, seed_override: Optional[int] = None,
         except (OSError, ValueError) as exc:
             raise ConfigError(f"problem.kind: bad edge list: {exc}") from exc
         kind = "mincut"
+        _require(graph.ground_set, "problem.kind",
+                 "the edge list has no node besides the source and the sink")
     basis_kind = _field(cp, "basis.kind")
     projection = PROBLEMS[kind][0]
     paired = [name for name, f in FAMILIES.items() if f.projection == projection]

@@ -71,8 +71,9 @@ class ThetaMeasure:
     quadrature_nodes: int = 128
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
-            raise ValueError(f"support must satisfy a < b, got [{self.a}, {self.b}]")
+        # NaN or infinite ends, and finite ends whose width overflows, fail too
+        if not 0 < float(self.b) - float(self.a) < np.inf:
+            raise ValueError(f"support [{self.a}, {self.b}]: need a < b and a finite b - a")
         if self.quadrature_nodes < 1:
             raise ValueError("quadrature_nodes must be positive")
 
@@ -117,7 +118,8 @@ class ThetaMeasure:
         return nodes, weights
 
 
-def _eval_field(f: ScalarField, nodes: np.ndarray) -> np.ndarray:
+def eval_field(f: ScalarField, nodes: np.ndarray) -> np.ndarray:
+    """f at the nodes as an (n, q) array, its length checked."""
     vals = np.asarray(f(nodes), dtype=float)
     if vals.shape[0] != nodes.shape[0]:
         raise ValueError(
@@ -132,8 +134,8 @@ def inner_product(f: ScalarField, g: ScalarField, m: ThetaMeasure) -> float:
     Vector-valued fields are contracted componentwise, i.e. this is the
     L2(pi; R^q) inner product. Deterministic for a fixed node count.
     """
-    fv = _eval_field(f, m.nodes)
-    gv = _eval_field(g, m.nodes)
+    fv = eval_field(f, m.nodes)
+    gv = eval_field(g, m.nodes)
     if fv.shape != gv.shape:
         raise ValueError(f"field shapes differ: {fv.shape} vs {gv.shape}")
     return float(np.einsum("nq,nq,n->", fv, gv, m.weights))

@@ -342,6 +342,8 @@ def mincut_problem(g: CutGraph, measure: ThetaMeasure) -> ProblemSpec:
     incident to node i, whose absolute value is convex in theta, so the norm
     of those weights peaks at a support end.
     """
+    if not g.ground_set:
+        raise ValueError("the graph has no node besides the source and the sink")
     lo, hi = g.theta_range
     if not (lo <= measure.a and measure.b <= hi):
         raise ValueError("measure support must sit inside the graph's theta range")

@@ -54,6 +54,25 @@ def gap_norm_uncached(p, e: bs.Expansion, reference_values) -> float:
     return float(np.sqrt(max(np.dot(weights, gap**2), 0.0)))
 
 
+def piecewise_cell_averages(f, fam: bs.PiecewiseFamily, nodes, weights) -> np.ndarray:
+    """The piecewise family's own analyze as first written: each node's
+    weighted value added into its cell by ``np.add.at``, over the cell
+    measures."""
+    part, mes = fam.partition, fam.measure
+    vals = np.asarray(f(nodes), dtype=float).reshape(len(nodes), -1)
+    acc = np.zeros((part.n_cells, vals.shape[1]))
+    np.add.at(acc, bs.cell_index(part, mes, nodes), weights[:, None] * vals)
+    return acc / bs.cell_measures(part, mes)[:, None]
+
+
+def legendre_einsum_coefficients(f, fam: bs.LegendreFamily, m: int) -> np.ndarray:
+    """The Legendre family's own analyze as first written: one einsum of the
+    design, the measure's weights and f on the measure's nodes."""
+    mes = fam.measure
+    vals = np.asarray(f(mes.nodes), dtype=float).reshape(len(mes.nodes), -1)
+    return np.einsum("nm,n,nq->mq", fam.eval_matrix(mes.nodes, m), mes.weights, vals)
+
+
 def trace_rows(text: str) -> list[rsg.TraceRow]:
     """The rows of a trace CSV, its header checked against
     ``rsg.TRACE_COLUMNS``; ``coeff_hash``, which the CSV leaves out, stays empty."""

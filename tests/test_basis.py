@@ -1,9 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import uqsubgrad as uq
 from uqsubgrad import basis as bs
 from uqsubgrad import measure
+
+from oracles import legendre_einsum_coefficients, piecewise_cell_averages
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +85,47 @@ def test_analyze_piecewise_interval_averages(halves):
     # averages of f(theta)=theta over [0, .5) and [.5, 1] are 1/4 and 3/4
     e = uq.analyze(lambda t: t, halves, 2)
     assert e.coefficients[:, 0] == pytest.approx([0.25, 0.75], abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("n_breakpoints", [0, 1, 7, 40])
+def test_piecewise_analyze_equals_add_at_cell_averages_bytes(unit_measure, q, n_breakpoints):
+    rng = np.random.default_rng(300 + n_breakpoints)
+    part = uq.Partition(tuple(np.sort(rng.uniform(0.01, 0.99, size=n_breakpoints))))
+    fam = uq.piecewise_family(unit_measure, part)
+    if q == 1:  # a scalar field, shape (n,)
+        f = lambda t: np.sin(7.0 * t) * np.exp(t)
+    else:
+        f = lambda t: np.stack([np.sin(7.0 * t) * np.exp(t), np.abs(t - 0.3)], axis=-1)
+    got = uq.analyze(f, fam, part.n_cells).coefficients
+    ref = piecewise_cell_averages(f, fam, *fam.rule())
+    assert got.shape == ref.shape == (part.n_cells, q)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_legendre_analyze_near_einsum_form(quad_measure):
+    fam = uq.legendre_family(quad_measure)
+    for m in range(1, 65):
+        got = uq.analyze(uq.quadratic_reference, fam, m).coefficients
+        ref = legendre_einsum_coefficients(uq.quadratic_reference, fam, m)
+        assert np.abs(got - ref).max() <= 1e-15, m
+
+
+def test_analyze_refuses_levels_the_estimator_refuses(leg, halves):
+    for m in (0, 1, 3):  # the piecewise family keeps every cell
+        with pytest.raises(ValueError, match="all cells"):
+            uq.analyze(lambda t: t, halves, m)
+    for m in (0, leg.max_level + 1):
+        with pytest.raises(ValueError):
+            uq.analyze(lambda t: t, leg, m)
+
+
+def test_analyze_is_one_function_on_the_family_rule():
+    # no family carries its own analyze, and each has one rule, with no option
+    for cls in (bs.BasisFamily, *bs._FAMILIES.values()):
+        assert "analyze" not in vars(cls)
+    for cls in bs._FAMILIES.values():
+        assert list(inspect.signature(cls.rule).parameters) == ["self"]
 
 
 def test_truncate_noop(leg):

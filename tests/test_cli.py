@@ -222,6 +222,39 @@ def test_readme_commands_are_the_cli_subcommands(capsys):
     assert sorted({ln.split()[1] for ln in block.splitlines()}) == sorted(listed)
 
 
+def test_readme_config_table_names_exactly_the_fields():
+    readme = (DEMOS.parent / "README.md").read_text()
+    table = re.search(r"\| key \| type \| default \| rule \|\n\|[-|]+\|\n(.*?)\n\n", readme, re.S)
+    keys = [key for row in table.group(1).splitlines()
+            for key in re.findall(r"`([\w.]+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(cli.FIELDS)
+
+
+def test_support_whose_width_overflows_exits_2_before_solving(tmp_path, capsys):
+    cfg = small_quadratic_cfg(tmp_path, measure={"a": "-1e308", "b": "1e308"})
+    with pytest.raises(cli.ConfigError, match="measure.b: need a < b and a finite b - a"):
+        cli.load_config(cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "measure.b" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_edge_list_without_internal_node_exits_2_before_solving(tmp_path, capsys):
+    (tmp_path / "g.edges").write_text("source s\nsink t\ns t 1 0\n")
+    cfg = small_quadratic_cfg(tmp_path, problem={"kind": "mincut:g.edges"}, measure={"b": "4.0"},
+                              basis={"kind": "piecewise"})
+    with pytest.raises(cli.ConfigError, match="problem.kind: the edge list has no node besides"):
+        cli.load_config(cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "problem.kind" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="no node besides the source and the sink"):
+        uq.mincut_problem(uq.parse_cut_graph("source s\nsink t\ns t 1 0\n", (0.0, 4.0)),
+                          uq.ThetaMeasure(0.0, 4.0))
+
+
 def test_run_skips_edges_that_are_never_cut(tmp_path):
     # an edge out of the sink or into the source never crosses a cut
     (tmp_path / "g.edges").write_text("source s\nsink t\ns 1 0 1\n1 t 3 0\nt 1 1 0\n1 s 1 0\n")
@@ -280,6 +313,14 @@ _PIECEWISE_OK = _expansion_text("piecewise", 0.0, 4.0, 2)
         ("quadratic", _expansion_text("legendre", 0.0, 2 * np.pi, 2, m=65), "expansion shape"),
         ("mincut", _PIECEWISE_OK.replace("quadrature_nodes: 128", "quadrature_nodes: 64"),
          "expansion quadrature_nodes"),
+        # rows past the declared shape, and a line of junk after them, are refused
+        ("mincut", _PIECEWISE_OK + "0.5 0.5\n", "coefficient block"),
+        ("mincut", _expansion_text("piecewise", 0.0, 4.0, 1, m=2) + "0.5\n0.5\njunk\n", "junk"),
+        ("mincut", _PIECEWISE_OK.replace("shape: 3 2", "shape2: 9\nshape: 3 2"), "unknown field"),
+        ("mincut", _PIECEWISE_OK.replace("kind:", "support: 0.0 9.0\nkind:"), "given twice"),
+        # a support whose width overflows
+        ("quadratic", _expansion_text("legendre", 0.0, 2 * np.pi, 2).replace(
+            "support: 0.0 6.283185307179586", "support: -1e+308 1e+308"), "finite b - a"),
     ],
 )
 def test_stats_refuses_mismatched_or_malformed_expansion(tmp_path, capsys, config, text, field):

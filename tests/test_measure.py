@@ -83,6 +83,10 @@ def test_invalid_support_rejected():
         uq.ThetaMeasure(1.0, 1.0)
     with pytest.raises(ValueError):
         uq.ThetaMeasure(2.0, 1.0)
+    # an infinite end, and finite ends whose width overflows
+    for a, b in ((0.0, np.inf), (-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))):
+        with pytest.raises(ValueError, match="finite b - a"):
+            uq.ThetaMeasure(a, b)
     with pytest.raises(TypeError):  # the measure has no kind option
         uq.ThetaMeasure(0.0, 1.0, kind="gaussian")
 
