@@ -100,14 +100,14 @@ class BasisFamily:
     """A basis of L2(pi). ``kind`` is its serialized tag, ``projection`` the
     ProjectionSpec kind its coefficients pair with. Subclasses provide
     ``rows(m)`` (coefficient rows at level m), ``check_level`` (the
-    estimator's levels), ``design``/``apply`` (evaluation at thetas),
-    ``weighted_sum``/``sample_scale`` (the estimator's sum and divisor,
-    which :func:`analyze` applies on the family's one quadrature
-    ``rule``), ``tail_norm`` (pi-norm of rows m onward), ``kept_rows``
-    (truncation), ``grow`` and ``reference_tail_norm``. The defaults
-    below suit any family: no largest level (``max_level``), a
-    header of kind, support and rule only, and statistics atoms at n
-    midpoints (``atoms``).
+    estimator's levels), ``design``/``apply`` (evaluation at thetas;
+    ``rule_design`` at rule nodes by index), ``weighted_sum``/``sample_scale``
+    (the estimator's sum and divisor, which :func:`analyze` applies on the
+    family's one quadrature ``rule``), ``tail_norm`` (pi-norm of rows m
+    onward), ``kept_rows`` (truncation), ``grow`` and ``reference_tail_norm``.
+    The defaults below suit any family: no largest level (``max_level``),
+    rule nodes drawn by their weights (``rule_index``), a header of kind,
+    support and rule only, and statistics atoms at n midpoints (``atoms``).
     """
 
     measure: ThetaMeasure
@@ -123,6 +123,25 @@ class BasisFamily:
 
     def _matrix(self, theta: np.ndarray, m: int) -> np.ndarray:
         raise ValueError("eval_matrix is defined for the polynomial family")
+
+    def rule_index(self, u: np.ndarray) -> np.ndarray:
+        """Indices into ``rule()`` by the inverse CDF of its weights, one per
+        uniform in u. A u in cell b of a K-cell grid of [0, 1) takes first[b],
+        the CDF steps at or below b / K, unless its cell holds a step; those
+        u, at most one in eight, take a binary search."""
+        cdf, first = self._cdf
+        b = (u * (len(first) - 1)).astype(np.intp)
+        idx = first.take(b)
+        split = np.flatnonzero(first.take(b + 1) != idx)
+        idx.flat[split] = np.searchsorted(cdf, u.flat[split], side="right")
+        return idx
+
+    @cached_property
+    def _cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        c = np.cumsum(self.rule()[1])
+        cdf = c[:-1] / c[-1]
+        K = 1 << (8 * len(c)).bit_length()  # a power of two: u * K and cdf * K are exact
+        return cdf, np.cumsum(np.bincount(np.ceil(cdf * K).astype(np.intp), minlength=K + 1))
 
     def header(self) -> list[str]:
         return []
@@ -169,13 +188,16 @@ class LegendreFamily(BasisFamily):
         return self.measure.quadrature_nodes // 2
 
     @cached_property
-    def _norms(self) -> np.ndarray:
+    def _node_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Norms of the first max_level polynomials under the measure's own
-        rule, the exact inner product used everywhere; level m takes [:m]."""
+        rule, the exact inner product used everywhere (level m takes [:m]),
+        and the design at the rule nodes, one contiguous row per node: its
+        first m columns are design(nodes, m) bit for bit."""
         mes = self.measure
         x = 2.0 * (mes.nodes - mes.a) / (mes.b - mes.a) - 1.0
         V = _legvander(x, self.max_level - 1)
-        return np.sqrt(np.einsum("nm,nm,n->m", V, V, mes.weights))
+        norms = np.sqrt(np.einsum("nm,nm,n->m", V, V, mes.weights))
+        return norms, np.ascontiguousarray(V / norms)
 
     def _matrix(self, theta: np.ndarray, m: int) -> np.ndarray:
         mes = self.measure
@@ -185,11 +207,10 @@ class LegendreFamily(BasisFamily):
                 f"({mes.quadrature_nodes} available)"
             )
         x = 2.0 * (theta - mes.a) / (mes.b - mes.a) - 1.0
-        # in place: the same bytes as an out-of-place division, without a
-        # second array, and legvander's strided layout, which B[t] @ u's
-        # summation order follows
+        # in place: no second array, and legvander's strided layout, which
+        # B @ u's summation order follows
         V = _legvander(x, m - 1)
-        V /= self._norms[:m]
+        V /= self._node_table[0][:m]
         return V
 
     def rows(self, m: int) -> int:
@@ -201,6 +222,9 @@ class LegendreFamily(BasisFamily):
 
     def design(self, theta: np.ndarray, m: int) -> np.ndarray:
         return self.eval_matrix(theta, m)
+
+    def rule_design(self, idx: np.ndarray, m: int) -> np.ndarray:
+        return self._node_table[1][:, :m].take(idx, axis=0)
 
     def apply(self, B: np.ndarray, c: np.ndarray) -> np.ndarray:
         return B @ c
@@ -239,6 +263,7 @@ class PiecewiseFamily(BasisFamily):
 
     kind = "piecewise_constant"
     projection = "per_cell_box"
+    cell_nodes: ClassVar[int] = 8  # nodes of the composite rule in each cell
     partition: Partition = Partition()
 
     def __post_init__(self):
@@ -256,6 +281,9 @@ class PiecewiseFamily(BasisFamily):
     def design(self, theta: np.ndarray, m: int) -> np.ndarray:
         return cell_index(self.partition, self.measure, theta)
 
+    def rule_design(self, idx: np.ndarray, m: int) -> np.ndarray:
+        return idx // self.cell_nodes
+
     def apply(self, idx: np.ndarray, c: np.ndarray) -> np.ndarray:
         return c[idx]
 
@@ -269,7 +297,11 @@ class PiecewiseFamily(BasisFamily):
         return n * cell_measures(self.partition, self.measure)[:, None]
 
     def rule(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.measure.composite_rule(self.partition.breakpoints)
+        return self._rule
+
+    @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.measure.composite_rule(self.partition.breakpoints, self.cell_nodes)
 
     def tail_norm(self, c: np.ndarray, m: int) -> float:
         w = cell_measures(self.partition, self.measure)

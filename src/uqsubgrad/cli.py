@@ -88,11 +88,11 @@ MAX_QUADRATURE_NODES = 1024
 # The demos run 200.
 MAX_STAGES = 100_000
 
-# A stage draws its t * theta_samples thetas at once and holds them with their
-# design, (t, theta_samples, m) doubles for a Legendre basis, and with noise on
-# their (t, theta_samples, q) noise: the cap on t * theta_samples * (m + 1),
-# plus q once the problem is built, is 128 MB. The draw is not chunked, since
-# that would change the seeded noise stream.
+# A stage draws t * theta_samples rule-node indices at once and holds them with
+# the design gathered at their nodes, (t, theta_samples, m) doubles for a
+# Legendre basis, and with noise on their (t, theta_samples, q) noise: the cap
+# on t * theta_samples * (m + 1), plus q with noise on, is 128 MB.
+# The draw is not chunked, since that would change the seeded noise stream.
 MAX_STAGE_DOUBLES = 2**24
 
 # compute_statistics holds its atoms' values, weights and sort order: at m = 32
@@ -248,7 +248,9 @@ def load_config(path: Path, seed_override: Optional[int] = None,
             raise ConfigError(f"rsg.k: cannot derive it from eps0 / eps_target ({exc})") from exc
     _require(loops * k <= MAX_STAGES, "rsg.outer_loops",
              f"outer_loops * k = {loops * k} stages, above the cap of {MAX_STAGES}")
-    sigma = _field(cp, "rsg.noise_sigma")
+    sigma, q = _field(cp, "rsg.noise_sigma"), 2 if graph is None else len(graph.ground_set)
+    _require(np.isfinite(sigma * sigma * q), "rsg.noise_sigma",
+             f"the noise variance sigma^2 * q overflows at q = {q}")
     noise = NoiseModel("additive_gaussian", sigma) if sigma > 0 else NoiseModel()
     oracle = OracleConfig(theta_samples_per_call=_field(cp, "rsg.theta_samples"), noise=noise)
     schedule, t = _field(cp, "rsg.m_schedule"), _field(cp, "rsg.t")
@@ -265,9 +267,10 @@ def load_config(path: Path, seed_override: Optional[int] = None,
     limit = FAMILIES[basis_kind](measure).max_level
     _require(top <= limit, "rsg.m_schedule",
              f"reaches m={top}, above the {basis_kind} basis's largest level {limit}")
-    block = t * oracle.theta_samples_per_call * (top + 1)
-    _require(block <= MAX_STAGE_DOUBLES, "rsg.t", f"t * theta_samples * (m + 1) = {block} "
-             f"doubles at m={top}, above the stage cap of {MAX_STAGE_DOUBLES}")
+    noise_q = q if sigma > 0 else 0  # noise doubles per draw
+    block = t * oracle.theta_samples_per_call * (top + 1 + noise_q)
+    _require(block <= MAX_STAGE_DOUBLES, "rsg.t", f"t * theta_samples * (m + 1 + {noise_q}) = "
+             f"{block} doubles at m={top}, q={q}, above the stage cap of {MAX_STAGE_DOUBLES}")
 
     out_dir = path.parent / _field(cp, "output.directory")
     if out_override is not None:
@@ -414,11 +417,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     column. The three files are written after the run completes, all or none.
     """
     problem, rsg = cfg.build_problem(), cfg.rsg
-    if rsg.oracle.noise.sigma > 0:
-        top, q = rsg.m_schedule(rsg.outer_loops * rsg.k_stages), problem.dimension
-        block = rsg.t * rsg.oracle.theta_samples_per_call * (top + 1 + q)
-        _require(block <= MAX_STAGE_DOUBLES, "rsg.t", f"t * theta_samples * (m + 1 + q) = {block} "
-                 f"doubles at m={top}, q={q}, above the stage cap of {MAX_STAGE_DOUBLES}")
     family, reference = cfg.build_family(), PROBLEMS[cfg.problem_kind][2](cfg)
     try:
         final, trace = restarted_outer(problem, rsg, family, reference_values=reference)

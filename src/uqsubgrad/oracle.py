@@ -1,20 +1,20 @@
 """Stochastic truncated-subgradient estimation in coefficient space, and
 estimation of the second-moment constants used by the step-size schedule.
 
-The estimator draws theta samples from the measure, queries the problem's
-per-theta subgradient (optionally noised), and averages against the basis:
-the result is an unbiased Monte Carlo estimate of the coefficients of the
-level-m truncated subgradient, in the same coordinates an Expansion of the
-matching family uses (orthonormal coefficients for the polynomial family,
-per-cell averages for the piecewise family).
+The estimator draws theta samples from the family's quadrature rule, each
+node with probability its weight, queries the problem's per-theta subgradient
+(optionally noised), and averages against the basis: the result is unbiased
+for the coefficients of the level-m truncated subgradient under the rule's
+inner product, in the coordinates an Expansion of the matching family uses.
 
-Draws come in blocks: a :class:`ThetaBlock` holds T rows of n thetas, their
-noise, the basis evaluated at all of them once (the Legendre design matrix,
-or each theta's cell index) and the problem's subgradient bound to them once.
-The solver draws one block per stage and steps through its rows;
-:func:`estimate_truncated_subgradient` is the T = 1 case. Within a block the
-thetas are drawn first and the noise second. Reductions are plain fixed-order
-numpy sums, so a fixed seed reproduces the output bit for bit.
+Draws come in blocks: a :class:`ThetaBlock` holds T rows of n rule-node
+indices, their noise, the basis at the drawn nodes gathered once (Legendre
+rows from one table at the rule nodes, or each node's cell) and the problem's
+subgradient bound to them once. The solver draws one block per stage and
+steps through its rows; :func:`estimate_truncated_subgradient` is the T = 1
+case. Within a block the indices are drawn first and the noise second.
+Reductions are plain fixed-order numpy sums, so a fixed seed reproduces the
+output bit for bit.
 """
 
 from __future__ import annotations
@@ -59,15 +59,14 @@ class GVEstimate:
 
 @dataclass(frozen=True)
 class ThetaBlock:
-    """Everything about T rows of n theta draws that does not depend on the
-    iterate.
-
-    ``design`` (the basis at every theta) and ``scale`` (the divisor of the
-    basis-weighted subgradient sum) come from the family's ``design`` and
-    ``sample_scale``, defined per family in :mod:`.basis`. ``noise`` is the
-    (T, n, q) noise block, or None when noise is off. ``step(x, t, noise)``
-    is the problem's subgradient bound to the block's thetas: its ``stage``
-    hook, or ``subgradient`` at ``thetas[t]`` for a problem without one.
+    """Everything about T rows of n draws of ``rule()`` nodes, each with
+    probability its weight, that does not depend on the iterate: each row's
+    estimate is unbiased for the rule's inner product. ``design`` and
+    ``scale`` (the divisor of the basis-weighted subgradient sum) come from
+    the family's ``rule_design`` and ``sample_scale``. ``noise`` is the (T,
+    n, q) noise block, or None when noise is off. ``step(x, t, noise)`` is
+    the problem's subgradient bound to the drawn nodes: its ``stage`` hook,
+    or ``subgradient`` at ``nodes[idx[t]]`` for a problem without one.
     """
 
     family: bs.BasisFamily
@@ -80,16 +79,15 @@ class ThetaBlock:
     def draw(
         cls, p: ProblemSpec, e: bs.Expansion, T: int, cfg: OracleConfig, rng: np.random.Generator
     ) -> "ThetaBlock":
-        """Draw the thetas, then the noise, evaluate e's basis (its first
-        e.m functions) on them once and bind p's subgradient to them."""
-        family = e.basis
-        mes = family.measure
-        n = cfg.theta_samples_per_call
-        thetas = rng.uniform(mes.a, mes.b, size=(T, n))
+        """Draw T x n rule-node indices, one uniform each (``rule_index``),
+        then the noise; gather e's basis (its first e.m functions) at the
+        drawn nodes once and bind p's subgradient to them."""
+        family, n = e.basis, cfg.theta_samples_per_call
+        nodes, idx = family.rule()[0], family.rule_index(rng.random((T, n)))
         noise = cfg.noise.draw(rng, (T, n, e.q))
-        plain = lambda x, t, noise=None: p.subgradient(x, thetas[t], noise)
-        step = plain if p.stage is None else p.stage(thetas)
-        return cls(family, noise, family.design(thetas, e.m), family.sample_scale(n), step)
+        plain = lambda x, t, noise=None: p.subgradient(x, nodes[idx[t]], noise)
+        step = plain if p.stage is None else p.stage(nodes, idx)
+        return cls(family, noise, family.rule_design(idx, e.m), family.sample_scale(n), step)
 
     def estimate(self, t: int, u: np.ndarray, m: int) -> np.ndarray:
         """Level-m truncated-subgradient estimate at coefficients ``u`` from
@@ -109,10 +107,11 @@ def estimate_truncated_subgradient(
 ) -> np.ndarray:
     """Monte Carlo estimate of the level-m truncated subgradient at ``e``.
 
-    For each sampled theta_j: synthesize x(theta_j), query the subgradient
-    (noise drawn per sample when configured), and average g(theta_j) against
-    the basis functions. Unbiased for the quadrature coefficients under zero
-    noise as the sample count grows. A one-row :class:`ThetaBlock`.
+    For each theta_j, a rule node drawn with probability its weight:
+    synthesize x(theta_j), query the subgradient (noise drawn per sample when
+    configured), and average g(theta_j) against the basis functions. Unbiased
+    for the rule's inner product: its mean is ``analyze`` of the subgradient
+    field, at any sample count. A one-row :class:`ThetaBlock`.
     """
     e.basis.check_level(m, e.m)
     block = ThetaBlock.draw(p, e, 1, cfg, rng)

@@ -79,10 +79,10 @@ class ProblemSpec:
     optional pre-drawn (..., q) array added to the clean subgradient.
     lipschitz bounds subgradient fields in the pi-norm over the feasible set
     (the constant consumed by the remainder bound L * ||R_m||).
-    stage(thetas), when given, binds a solver stage's (T, n) theta block once
-    and returns step(x, t, noise=None), which must equal
-    subgradient(x, thetas[t], noise) bit for bit; it lets a problem do its
-    theta-only work once per stage instead of once per step.
+    stage(nodes, idx), when given, binds a solver stage's (T, n) block of
+    indices into the rule nodes once and returns step(x, t, noise=None), which
+    must equal subgradient(x, nodes[idx[t]], noise) bit for bit; it lets a
+    problem do its theta-only work once per stage or node, not once per step.
     """
 
     dimension: int
@@ -91,7 +91,7 @@ class ProblemSpec:
     projection: ProjectionSpec
     lipschitz: float
     reference_optimum: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    stage: Optional[Callable[[np.ndarray], Callable[..., np.ndarray]]] = None
+    stage: Optional[Callable[[np.ndarray, np.ndarray], Callable[..., np.ndarray]]] = None
 
 
 # -- Projections ---------------------------------------------------------------
@@ -106,6 +106,10 @@ def project_coefficients(u: np.ndarray, p: ProjectionSpec) -> np.ndarray:
         # np.linalg.norm's own arithmetic, without its dispatch
         flat = u.ravel(order="K")
         nrm = math.sqrt(flat.dot(flat))
+        if nrm == math.inf:  # a finite u whose squared norm overflows: scale it first
+            top = float(np.abs(flat).max())
+            nrm = float(np.linalg.norm(u / top))
+            return u if top * nrm <= p.radius else (u / top) * (p.radius / nrm)
         # ulp-level slack keeps repeated application an exact no-op
         return u if nrm <= p.radius * (1.0 + 4e-16) else u * (p.radius / nrm)
     lo_ok = u >= p.lo
@@ -208,8 +212,8 @@ def quadratic_problem(
     def subgradient(x, theta, noise=None):
         return gradient(x, quadratic_reference(theta), noise)
 
-    def stage(thetas):
-        ref = quadratic_reference(thetas)
+    def stage(nodes, idx):
+        ref = quadratic_reference(nodes).take(idx, axis=0)
         return lambda x, t, noise=None: gradient(x, ref[t], noise)
 
     # pi-norm Lipschitz bound over the ball: ||g(w)||_pi <= max(mu, L) *
@@ -366,8 +370,8 @@ def mincut_problem(g: CutGraph, measure: ThetaMeasure) -> ProblemSpec:
         out = grad[0] if squeeze else grad
         return out if noise is None else out + noise
 
-    def stage(thetas):
-        bins = edges.bins(thetas.shape[-1])
+    def stage(nodes, idx):
+        thetas, bins = nodes.take(idx), edges.bins(idx.shape[-1])
 
         def step(x, t, noise=None):
             grad = _greedy_sums(edges, x, thetas[t], bins)[:, :-1]

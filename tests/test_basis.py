@@ -383,6 +383,32 @@ def test_legendre_family_states_its_largest_level(quad_measure):
     assert uq.piecewise_family(quad_measure).max_level == np.inf
 
 
+@pytest.mark.parametrize("nodes", [128, 33])
+def test_legendre_rule_table_prefixes_equal_the_design_bitwise(nodes, quad_measure):
+    """A stage gathers its design from one table at the rule nodes: its first
+    m columns are design(nodes, m), and a gathered block is the design at the
+    drawn nodes, byte for byte."""
+    mes = uq.ThetaMeasure(quad_measure.a, quad_measure.b, quadrature_nodes=nodes)
+    leg = uq.legendre_family(mes)
+    table = leg._node_table[1]
+    assert table.shape == (nodes, leg.max_level) and table.flags.c_contiguous
+    for m in range(1, leg.max_level + 1):
+        design = np.ascontiguousarray(leg.design(mes.nodes, m))
+        assert table[:, :m].tobytes() == design.tobytes()
+    idx = np.random.default_rng(nodes).integers(0, nodes, size=(5, 7))
+    for m in (1, leg.max_level // 2, leg.max_level):
+        block = leg.rule_design(idx, m)
+        assert block.shape == (5, 7, m)
+        assert block.tobytes() == np.ascontiguousarray(leg.design(mes.nodes[idx], m)).tobytes()
+
+
+def test_piecewise_rule_design_is_the_cell_of_each_drawn_node(cut_measure):
+    fam = uq.piecewise_family(cut_measure, uq.Partition((0.5, 1.0, 3.0)))
+    nodes = fam.rule()[0]
+    idx = np.random.default_rng(8).integers(0, len(nodes), size=(6, 9))
+    assert np.array_equal(fam.rule_design(idx, fam.rows(1)), fam.design(nodes[idx], fam.rows(1)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2049, 10000])
 def test_legendre_atoms_are_the_expansion_at_n_midpoints(n, quad_measure):
     rng = np.random.default_rng(n)

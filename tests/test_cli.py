@@ -76,6 +76,8 @@ def test_config_errors_name_the_field(tmp_path):
         ("rsg", "theta_samples", "0"),
         ("rsg", "noise_sigma", "-1"),
         ("rsg", "noise_sigma", "nan"),
+        ("rsg", "noise_sigma", "1e200"),  # sigma^2 alone overflows
+        ("rsg", "noise_sigma", "1e154"),  # sigma^2 does not, sigma^2 * q does
         ("rsg", "initial_step", "0"),
         ("rsg", "initial_step", "-1"),
         ("stats", "samples", "0"),
@@ -129,6 +131,21 @@ def test_unused_key_of_a_mincut_config_is_still_checked(tmp_path, capsys, key, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma, refused", [("9.5e153", True), ("9.4e153", False)])
+def test_noise_variance_overflow_counts_the_mincut_ground_set(tmp_path, sigma, refused):
+    """q is the ground set's size, 2 on the chain demo: sigma^2 * 2 overflows
+    from about 9.48e153 on."""
+    text = (DEMOS / "mincut.cfg").read_text().replace("noise_sigma = 0.0", f"noise_sigma = {sigma}")
+    cfg = tmp_path / "mincut.cfg"
+    cfg.write_text(text)
+    (tmp_path / "mincut_chain.edges").write_text((DEMOS / "mincut_chain.edges").read_text())
+    if refused:
+        with pytest.raises(cli.ConfigError, match="rsg.noise_sigma"):
+            cli.load_config(cfg)
+    else:
+        assert cli.load_config(cfg).rsg.oracle.noise.variance_total(2) < math.inf
+
+
 def test_stage_cap_itself_loads(tmp_path):
     cfg = small_quadratic_cfg(tmp_path, rsg={"outer_loops": str(cli.MAX_STAGES // 4)})
     rsg = cli.load_config(cfg).rsg
@@ -146,7 +163,7 @@ def test_stats_samples_cap_itself_loads(tmp_path):
 
 def test_noise_block_counts_in_the_stage_cap(tmp_path, capsys, monkeypatch):
     """With noise on, a stage also holds t * theta_samples * q noise doubles:
-    the check runs once the problem states q, before solving."""
+    the loader counts them, q being the edge list's ground set."""
     def solve(*args, **kwargs):
         raise AssertionError("the solver must not start")
 
@@ -159,7 +176,11 @@ def test_noise_block_counts_in_the_stage_cap(tmp_path, capsys, monkeypatch):
             basis={"kind": "piecewise"},
             rsg={"m_schedule": "constant:1", "noise_sigma": "0.1", "t": str(t)},
         )
-        assert cli.load_config(cfg).build_problem().dimension == 16  # the design count passes
+        if code == 1:  # the design and noise counts pass
+            assert cli.load_config(cfg).build_problem().dimension == 16
+        else:
+            with pytest.raises(cli.ConfigError, match="rsg.t.*q=16"):
+                cli.load_config(cfg)
         out = tmp_path / "out"
         assert cli.main(["run", str(cfg), "--out", str(out)]) == code
         err = capsys.readouterr().err

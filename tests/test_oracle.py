@@ -3,6 +3,8 @@ import pytest
 
 import uqsubgrad as uq
 from uqsubgrad import basis as bs
+from uqsubgrad.oracle import ThetaBlock
+from uqsubgrad.submodular import random_cut_graph
 
 
 def constant_subgradient_problem(c):
@@ -167,3 +169,100 @@ def test_probe_and_sample_validation(quad_problem, quad_measure):
         uq.estimate_truncated_subgradient(
             quad_problem, e, 5, uq.OracleConfig(8), np.random.default_rng(0)
         )
+
+
+def rule_families(cut_measure):
+    """The 128-node Legendre rule and the composite rule of a 7-breakpoint
+    partition, whose cells differ in width by up to 40x."""
+    part = uq.Partition((0.05, 0.1, 0.9, 1.0, 2.0, 2.02, 3.5))
+    return {"legendre": uq.legendre_family(cut_measure),
+            "piecewise": uq.piecewise_family(cut_measure, part)}
+
+
+@pytest.mark.parametrize("family", ["legendre", "piecewise"])
+def test_rule_draw_frequencies_match_rule_weights(cut_measure, family):
+    fam = rule_families(cut_measure)[family]
+    nodes, w = fam.rule()
+    n = 200_000
+    idx = fam.rule_index(np.random.default_rng(71).random(n))
+    counts = np.bincount(idx, minlength=len(nodes))
+    assert len(counts) == len(nodes) == (128 if family == "legendre" else 64)
+    p = w / w.sum()
+    assert np.all(np.abs(counts - n * p) <= 5.0 * np.sqrt(n * p * (1.0 - p)))
+
+
+def test_rule_index_grid_equals_binary_search_on_the_cdf(cut_measure):
+    # the grid answers most draws without a search: it must agree with the
+    # search everywhere, on CDF steps, on grid points and in cells that hold
+    # several steps (two cells of width 1e-9 put 17 steps in one grid cell)
+    fams = list(rule_families(cut_measure).values())
+    fams.append(uq.piecewise_family(cut_measure, uq.Partition((1.0, 1.0 + 1e-9, 1.0 + 2e-9))))
+    rng = np.random.default_rng(72)
+    for fam in fams:
+        cdf, first = fam._cdf
+        K = len(first) - 1
+        assert K & (K - 1) == 0 and K >= 8 * (len(cdf) + 1)
+        u = np.concatenate([rng.random(20_000), cdf, np.nextafter(cdf, 0.0),
+                            np.arange(K) / K, np.nextafter(np.arange(1, K + 1) / K, 0.0)])
+        assert np.array_equal(fam.rule_index(u), np.searchsorted(cdf, u, side="right"))
+        assert fam.rule_index(u.reshape(-1, 2)).shape == (len(u) // 2, 2)
+
+
+class RuleWalk:
+    """A stand-in generator whose ``random`` lands once on each rule node in
+    turn: the midpoint of each node's CDF step."""
+
+    def __init__(self, fam):
+        c = np.concatenate(([0.0], fam._cdf[0], [1.0]))
+        self.u = 0.5 * (c[:-1] + c[1:])
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+@pytest.mark.parametrize("family", ["legendre", "piecewise"])
+def test_expected_block_estimate_equals_analyze_on_the_rule(cut_measure, family):
+    # each row of a one-sample block lands on one rule node, so the
+    # weight-averaged rows are the estimator's exact expectation
+    rng = np.random.default_rng(73)
+    fam = rule_families(cut_measure)[family]
+    if family == "legendre":
+        p = uq.quadratic_problem(1.0, 50.0, cut_measure)
+        e, m = bs.Expansion(rng.standard_normal((12, 2)) * 0.3, fam), 9
+    else:
+        p = uq.mincut_problem(random_cut_graph(rng, 5), cut_measure)
+        e = bs.Expansion(rng.integers(0, 3, size=(8, 5)) / 2.0, fam)
+        m = e.m
+    nodes, w = fam.rule()
+    walk = RuleWalk(fam)
+    assert np.array_equal(fam.rule_index(walk.u), np.arange(len(nodes)))
+    block = ThetaBlock.draw(p, e, len(nodes), uq.OracleConfig(1), walk)
+    expected = sum(wj * block.estimate(j, e.coefficients, m) for j, wj in enumerate(w / w.sum()))
+    field = lambda t: p.subgradient(uq.synthesize(e, t), t)
+    exact = uq.analyze(field, fam, m).coefficients
+    assert np.abs(expected - exact).max() <= 1e-15 * np.abs(exact).max()
+
+
+def test_block_draws_one_uniform_per_theta_then_the_noise(cut_measure):
+    # a problem without a stage hook sees the rule nodes drawn from the
+    # block's uniforms, and the noise comes after them in the stream
+    seen = []
+
+    def subgradient(x, theta, noise=None):
+        seen.append(np.array(theta))
+        g = np.ones(np.shape(x))
+        return g if noise is None else g + noise
+
+    p = uq.ProblemSpec(2, lambda x, t: np.zeros(np.shape(x)[:-1]), subgradient,
+                       uq.no_projection(), 1.0)
+    cfg = uq.OracleConfig(5, uq.NoiseModel("additive_gaussian", 0.5))
+    for fam in rule_families(cut_measure).values():
+        e = bs.zero_expansion(fam, fam.rows(4), 2)
+        seen.clear()
+        block = ThetaBlock.draw(p, e, 3, cfg, np.random.default_rng(74))
+        for t in range(3):
+            block.estimate(t, e.coefficients, e.m)
+        ref = np.random.default_rng(74)
+        idx = fam.rule_index(ref.random((3, 5)))
+        assert np.array_equal(np.array(seen), fam.rule()[0][idx])
+        assert np.array_equal(block.noise, 0.5 * ref.standard_normal((3, 5, 2)))

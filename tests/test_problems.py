@@ -328,14 +328,18 @@ def test_greedy_core_and_stage_step_match_edge_loop_on_ties(n):
     X = rng.integers(0, 2, size=(32, n)).astype(float)  # rows with tied entries
     X[:4] = 0.25  # every entry tied
     X[4:8] = X[8:12]  # repeated rows
-    thetas = rng.uniform(*g.theta_range, size=(3, 32))
+    mes = uq.ThetaMeasure(*g.theta_range)
+    idx = rng.integers(0, mes.quadrature_nodes, size=(3, 32))
+    thetas = mes.nodes[idx]
     ref_vals, ref_grad = greedy_batch_edge_loop(g, X, thetas[1])
     sums = _greedy_sums(edges, X, thetas[1], edges.bins(32))
     assert sums.shape == (32, n + 1) and np.array_equal(sums[:, :-1], ref_grad)
     vals, grad = _greedy_batch(edges, X, thetas[1])
     assert np.array_equal(vals, ref_vals) and np.array_equal(grad, ref_grad)
-    step = uq.mincut_problem(g, uq.ThetaMeasure(*g.theta_range)).stage(thetas)
+    p = uq.mincut_problem(g, mes)
+    step = p.stage(mes.nodes, idx)
     assert np.array_equal(step(X, 1), ref_grad)
+    assert np.array_equal(p.subgradient(X, thetas[1]), ref_grad)
     noise = rng.standard_normal(X.shape)
     assert np.array_equal(step(X, 1, noise), ref_grad + noise)
 
@@ -359,8 +363,11 @@ def test_quadratic_curvature_table_equals_branch_formulas_at_signed_zeros(sigma,
     mu, L = 1.0, 50.0
     p = uq.quadratic_problem(mu, L, quad_measure)
     rng = np.random.default_rng(61)
-    thetas = rng.uniform(quad_measure.a, quad_measure.b, size=(3, 16))
-    thetas[:, :6] = 0.75 * np.pi  # sin(2 theta) == -1: the optimum is +0.0
+    nodes = rng.uniform(quad_measure.a, quad_measure.b, size=48)
+    nodes[0] = 0.75 * np.pi  # sin(2 theta) == -1: the optimum is +0.0
+    idx = np.arange(48).reshape(3, 16)
+    idx[:, :6] = 0
+    thetas = nodes[idx]
     ref = quadratic_reference(thetas)
     assert ref[:, :6].tobytes() == np.zeros((3, 6, 2)).tobytes()
     x = ref + rng.standard_normal(ref.shape) * 0.1
@@ -372,7 +379,7 @@ def test_quadratic_curvature_table_equals_branch_formulas_at_signed_zeros(sigma,
     x[:, 9, 0] = ref[:, 9, 0]         # one coordinate on its kink
     x[:, 10, 1] = ref[:, 10, 1]
     noise = rng.standard_normal(ref.shape) * sigma if sigma else None
-    step = p.stage(thetas)
+    step = p.stage(nodes, idx)
     for t in range(3):
         nz = None if noise is None else noise[t]
         g_ref, f_ref = quadratic_branch_formulas(mu, L, x[t], ref[t], nz)
@@ -460,9 +467,11 @@ def test_pair_orientation_groups_match_edge_loop_and_subgradient_bitwise(orienta
     # few levels, both signed zeros among them: most rows carry ties
     X = rng.choice([-0.0, 0.0, 0.5, 1.0], size=(3, 64, 9))
     X[:, :4] = 0.5
-    thetas = rng.uniform(*g.theta_range, size=(3, 64))
+    nodes = uq.ThetaMeasure(*g.theta_range).nodes
+    idx = rng.integers(0, len(nodes), size=(3, 64))
+    thetas = nodes[idx]
     noise = rng.standard_normal(X.shape) * sigma if sigma else None
-    step = p.stage(thetas)
+    step = p.stage(nodes, idx)
     for t in range(3):
         ref_vals, ref_grad = greedy_batch_edge_loop(g, X[t], thetas[t])
         vals, grad = _greedy_batch(edges, X[t], thetas[t])
@@ -544,3 +553,16 @@ def test_gap_norm_cache_equals_uncached_along_piecewise_refinement(cut_measure):
     levels = [f.partition.n_cells for f in seq]
     for cached, oracle in gap_norm_levels(lambda j: seq[j], levels, p.dimension, fstar, p, 67):
         assert cached == oracle
+
+
+def test_ball_projection_of_a_vector_whose_squared_norm_overflows():
+    u = np.full((8, 2), 1e200)  # finite, with u . u = inf
+    with np.errstate(over="ignore"):
+        out = project_coefficients(u, uq.l2_ball(1.5))
+    assert np.isclose(np.linalg.norm(out), 1.5, rtol=1e-15, atol=0.0)
+    assert np.all(out > 0) and np.ptp(out / u) == 0.0  # parallel: one common factor
+    assert project_coefficients(out, uq.l2_ball(1.5)) is out
+    with np.errstate(over="ignore"):  # inside a ball larger still, u is feasible as it is
+        assert project_coefficients(u, uq.l2_ball(1e300)) is u
+        half = project_coefficients(u, uq.l2_ball(2e200))  # its norm is 4e200
+    assert np.isclose(np.linalg.norm(half / 1e200), 2.0, rtol=1e-15) and np.ptp(half / u) == 0.0
