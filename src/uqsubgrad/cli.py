@@ -161,6 +161,7 @@ class ExperimentConfig:
     stats_quantiles: tuple[float, ...]
     round_eps: float
     out_dir: Path
+    dimension: int  # the problem's q, known without building the problem
     mu: float = 1.0
     l_max: float = 50.0
     graph: Optional[CutGraph] = None
@@ -276,7 +277,7 @@ def load_config(path: Path, seed_override: Optional[int] = None,
     if out_override is not None:
         out_dir = Path(out_override)  # shell-relative, as the flag suggests
     return ExperimentConfig(
-        problem_kind=kind, measure=measure, basis_kind=basis_kind, rsg=rsg,
+        problem_kind=kind, measure=measure, basis_kind=basis_kind, rsg=rsg, dimension=q,
         stats_samples=_field(cp, "stats.samples"), stats_quantiles=_field(cp, "stats.quantiles"),
         round_eps=_field(cp, "stats.round_eps"), out_dir=out_dir, mu=mu, l_max=l_max, graph=graph,
     )
@@ -284,9 +285,9 @@ def load_config(path: Path, seed_override: Optional[int] = None,
 
 def _check_expansion(e: bs.Expansion, cfg: ExperimentConfig):
     """ConfigError unless the expansion's kind, support, rule, m and q fit the config."""
-    kind = cfg.build_family().kind
-    if e.basis.kind != kind:
-        raise ConfigError(f"expansion kind: {e.basis.kind} does not match basis.kind ({kind})")
+    family = cfg.build_family()
+    _require(e.basis.kind == family.kind, "expansion kind",
+             f"{e.basis.kind} does not match basis.kind ({family.kind})")
     support = (e.basis.measure.a, e.basis.measure.b)
     if support != (cfg.measure.a, cfg.measure.b):
         raise ConfigError(
@@ -296,11 +297,10 @@ def _check_expansion(e: bs.Expansion, cfg: ExperimentConfig):
     nodes, expected = e.basis.measure.quadrature_nodes, cfg.measure.quadrature_nodes
     _require(nodes == expected, "expansion quadrature_nodes",
              f"{nodes} does not match measure.quadrature_nodes ({expected})")
-    limit = cfg.build_family().max_level
+    limit = family.max_level
     _require(e.m <= limit, "expansion shape", f"{e.m} rows, above the basis's largest level {limit}")
-    q = cfg.build_problem().dimension
-    if e.q != q:
-        raise ConfigError(f"expansion q: {e.q} does not match the problem dimension {q}")
+    _require(e.q == cfg.dimension, "expansion q",
+             f"{e.q} does not match the problem dimension {cfg.dimension}")
 
 
 # -- Statistics ------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Stochastic truncated-subgradient estimation in coefficient space, and
-estimation of the second-moment constants used by the step-size schedule.
+"""Stochastic truncated-subgradient estimation in coefficient space, and the
+step-size schedule's second-moment constants, as exact sums over the same rule.
 
 The estimator draws theta samples from the family's quadrature rule, each
 node with probability its weight, queries the problem's per-theta subgradient
@@ -124,20 +124,18 @@ def estimate_G_V(
     cfg: OracleConfig,
     rng: np.random.Generator,
 ) -> GVEstimate:
-    """Estimate the subgradient second moment over a probe set.
+    """The subgradient second moment over a probe set, by quadrature.
 
-    G_sq = 1.5 * max over probes of the sample mean of ||g(theta)||^2 with the
-    noise switched off; V_sq is exact for the configured noise model.
+    A stage draws each ``rule()`` node with probability its weight, so G_sq =
+    1.5 * max over probes of the weighted rule sum of the noiseless ||g||^2,
+    the factor covering iterates away from the probes; V_sq is exact for the
+    noise model. ``cfg`` supplies V_sq only; ``rng`` is not drawn from.
     """
     if len(probes) == 0:
         raise ValueError("need at least one probe expansion")
     worst = 0.0
-    # ||g||^2 is heavy-tailed for polynomial probes; the sample floor keeps
-    # the estimator's spread well inside the 1.5x safety factor
-    n = max(cfg.theta_samples_per_call, 512)
     for e in probes:
-        mes = e.basis.measure
-        thetas = rng.uniform(mes.a, mes.b, size=n)
-        g = np.asarray(p.subgradient(bs.synthesize(e, thetas), thetas), dtype=float)
-        worst = max(worst, float(np.mean(np.sum(g**2, axis=-1))))
+        nodes, w = e.basis.rule()
+        g = np.asarray(p.subgradient(bs.synthesize(e, nodes), nodes), dtype=float)
+        worst = max(worst, float(w @ np.sum(g**2, axis=-1)))
     return GVEstimate(G_sq=1.5 * worst, V_sq=cfg.noise.variance_total(p.dimension))

@@ -54,6 +54,8 @@ TRACE_COLUMNS = (
     "elapsed_ms",
 )
 
+STAGNATION_RTOL = 1e-4  # an outer loop improving the error by less ends the run
+
 
 @dataclass(frozen=True)
 class RsgConfig:
@@ -75,7 +77,6 @@ class RsgConfig:
     oracle: OracleConfig = field(default_factory=OracleConfig)
     seed: int = 0
     initial_step: Optional[float] = None
-    stagnation_rtol: float = 1e-4
 
     def __post_init__(self):
         if self.alpha <= 1:
@@ -122,13 +123,8 @@ def coefficient_hash(e: bs.Expansion) -> str:
 
 
 def trace_to_csv(trace: RunTrace) -> str:
-    lines = [",".join(TRACE_COLUMNS)]
-    for r in trace.rows:
-        lines.append(
-            f"{r.call_index},{r.outer_i},{r.stage_k},{r.m},{r.eta!r},"
-            f"{r.fn_error_pi!r},{r.fn_error_pi_sq!r},{r.elapsed_ms!r}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [TRACE_COLUMNS] + [[str(getattr(r, c)) for c in TRACE_COLUMNS] for r in trace.rows]
+    return "\n".join(",".join(row) for row in rows) + "\n"
 
 
 # -- Algorithm layers ---------------------------------------------------------
@@ -166,9 +162,10 @@ def sg_subroutine(
     # averaging anchored at the start point: exact fixed point when the
     # subgradient estimates vanish, and no cancellation near convergence
     acc = np.zeros_like(anchor)
-    for t in range(T):
-        u = project_coefficients(u - eta * block.estimate(t, u, m), proj)
-        acc += u - anchor
+    with np.errstate(over="ignore"):  # an overflowing ball norm takes its own branch
+        for t in range(T):
+            u = project_coefficients(u - eta * block.estimate(t, u, m), proj)
+            acc += u - anchor
     avg = project_coefficients(anchor + acc / T, proj)
     if not np.all(np.isfinite(avg)):
         raise ValueError(f"{where}: the stage average has non-finite coefficients")
@@ -256,7 +253,7 @@ def restarted_outer(
 
     Terminates when the configured number of outer loops is exhausted or when
     the recorded error stagnates (relative improvement below
-    ``cfg.stagnation_rtol`` across one outer loop). When the problem carries a
+    ``STAGNATION_RTOL`` across one outer loop). When the problem carries a
     reference optimum and no explicit ``reference_values`` is given, the trace
     error columns measure against the reference's objective values. One
     :class:`GapNorm` serves every stage of the run.
@@ -296,7 +293,7 @@ def restarted_outer(
             if (
                 prev_err is not None
                 and prev_err > 0
-                and (prev_err - err) / prev_err < cfg.stagnation_rtol
+                and (prev_err - err) / prev_err < STAGNATION_RTOL
             ):
                 break
             prev_err = err

@@ -1,8 +1,8 @@
 """End-to-end bytes: the seeded artifacts of the dense16 benchmark instance
 (the greedy kernel), of the chain demo (the reference's tied switch) and of
 the quadratic demo (the Legendre solve and statistics) against the digests
-of BENCH_28.json, whose draws of rule nodes in place of uniform thetas moved
-all 27 digests."""
+of BENCH_29.json, whose G^2/V^2 probe summed over the rule moved the quadratic
+and dense16 digests and kept the chain demo's."""
 
 import importlib.util
 import json
@@ -22,8 +22,8 @@ def load_tool():
 
 
 def recorded(name: str) -> dict:
-    """BENCH_28.json's config-seed digests of ``name``."""
-    bench = json.loads((ROOT / "BENCH_28.json").read_text())
+    """BENCH_29.json's config-seed digests of ``name``."""
+    bench = json.loads((ROOT / "BENCH_29.json").read_text())
     return bench["artifact_digests"]["config_seed"]["change"][name]
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -372,6 +373,25 @@ def test_stats_takes_no_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_stats_builds_no_problem(tmp_path, capsys, monkeypatch):
+    # stats takes q from the config: it never builds the min-cut problem
+    run, config = tmp_path / "run", str(DEMOS / "mincut.cfg")
+    assert cli.main(["run", config, "--out", str(run)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stats built the problem")
+
+    monkeypatch.setattr(cli, "mincut_problem", refuse)
+    out = tmp_path / "stats-out"
+    assert cli.main(["stats", str(run / "expansion.txt"), config, "--out", str(out)]) == 0
+    assert (out / "stats.json").read_bytes() == (run / "stats.json").read_bytes()
+    exp = tmp_path / "q3.txt"
+    exp.write_text(_expansion_text("piecewise", 0.0, 4.0, 3))
+    capsys.readouterr()
+    assert cli.main(["stats", str(exp), config, "--out", str(tmp_path / "q3-out")]) == 2
+    assert "expansion q" in capsys.readouterr().err
+
+
 def midpoint_atoms(e, n):
     """e at the midpoints of n equal cells of its support, each weighing 1/n."""
     mes = e.basis.measure
@@ -518,6 +538,22 @@ def test_run_makes_no_lapack_call(tmp_path, monkeypatch, demo):
     out = tmp_path / "out"
     assert cli.main(["run", str(DEMOS / demo), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["expansion.txt", "stats.json", "trace.csv"]
+
+
+def test_overflowing_step_prints_no_warning(tmp_path):
+    """At eps0 = 1e300 the first steps' squared norms overflow; the ball
+    projection's overflow branch projects them, and numpy stays silent."""
+    text = (DEMOS / "quadratic.cfg").read_text()
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(re.sub(r"(?m)^eps0 = .*$", "eps0 = 1e300", text))
+    assert "eps0 = 1e300" in cfg.read_text()
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "uqsubgrad.cli", "run", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert done.returncode == 0 and done.stderr == ""
 
 
 @pytest.mark.parametrize("family", ["legendre", "piecewise"])

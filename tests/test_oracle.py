@@ -266,3 +266,51 @@ def test_block_draws_one_uniform_per_theta_then_the_noise(cut_measure):
         idx = fam.rule_index(ref.random((3, 5)))
         assert np.array_equal(np.array(seen), fam.rule()[0][idx])
         assert np.array_equal(block.noise, 0.5 * ref.standard_normal((3, 5, 2)))
+
+
+def probe_set(cut_measure, family):
+    """Three feasible probes: Legendre ones of the quadratic, or piecewise
+    ones of a 5-node cut on rule_families' uneven partition."""
+    rng = np.random.default_rng(75)
+    fam = rule_families(cut_measure)[family]
+    if family == "legendre":
+        p = uq.quadratic_problem(1.0, 50.0, cut_measure)
+        blocks = [rng.standard_normal((8, 2)) for _ in range(3)]
+    else:
+        p = uq.mincut_problem(random_cut_graph(rng, 5), cut_measure)
+        blocks = [rng.random((8, 5)) for _ in range(3)]
+    return p, [bs.Expansion(uq.problems.project_coefficients(u, p.projection), fam)
+               for u in blocks]
+
+
+@pytest.mark.parametrize("family", ["legendre", "piecewise"])
+def test_probe_draws_nothing_from_the_stream(cut_measure, family):
+    p, probes = probe_set(cut_measure, family)
+    rng = np.random.default_rng(76)
+    state = rng.bit_generator.state
+    uq.estimate_G_V(p, probes, uq.OracleConfig(64), rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("family", ["legendre", "piecewise"])
+def test_probe_second_moment_is_the_rule_sum(cut_measure, family):
+    # what a stage samples: each rule node with probability its weight
+    p, probes = probe_set(cut_measure, family)
+    worst = 0.0
+    for e in probes:
+        nodes, w = e.basis.rule()
+        moment = 0.0
+        for theta, wj in zip(nodes, w):
+            g = p.subgradient(uq.synthesize(e, np.array([theta])), np.array([theta]))[0]
+            moment += wj * sum(gi * gi for gi in g)
+        worst = max(worst, moment)
+    gv = uq.estimate_G_V(p, probes, uq.OracleConfig(64), np.random.default_rng(77))
+    assert worst > 0 and abs(gv.G_sq - 1.5 * worst) <= 1e-12 * 1.5 * worst
+
+
+@pytest.mark.parametrize("family", ["legendre", "piecewise"])
+def test_probe_ignores_the_stage_sample_count(cut_measure, family):
+    p, probes = probe_set(cut_measure, family)
+    gvs = [uq.estimate_G_V(p, probes, uq.OracleConfig(n), np.random.default_rng(78))
+           for n in (1, 64, 4096)]
+    assert gvs[0] == gvs[1] == gvs[2]
