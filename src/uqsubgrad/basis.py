@@ -101,13 +101,14 @@ class BasisFamily:
     ProjectionSpec kind its coefficients pair with. Subclasses provide
     ``rows(m)`` (coefficient rows at level m), ``check_level`` (the
     estimator's levels), ``design``/``apply`` (evaluation at thetas;
-    ``rule_design`` at rule nodes by index), ``weighted_sum``/``sample_scale``
-    (the estimator's sum and divisor, which :func:`analyze` applies on the
-    family's one quadrature ``rule``), ``tail_norm`` (pi-norm of rows m
-    onward), ``kept_rows`` (truncation), ``grow`` and ``reference_tail_norm``.
-    The defaults below suit any family: no largest level (``max_level``),
-    rule nodes drawn by their weights (``rule_index``), a header of kind,
-    support and rule only, and statistics atoms at n midpoints (``atoms``).
+    ``rule_table`` at every node of the family's one quadrature ``rule``,
+    the only evaluation there), ``weighted_sum``/``sample_scale`` (the
+    estimator's sum and divisor, which :func:`analyze` applies on the rule),
+    ``tail_norm`` (pi-norm of rows m onward), ``kept_rows`` (truncation),
+    ``grow`` and ``reference_tail_norm``. The defaults below suit any family:
+    no largest level (``max_level``), rule nodes drawn by their weights
+    (``rule_index``) and gathered from the table (``rule_design``), a header
+    of kind, support and rule only, and statistics atoms at n midpoints.
     """
 
     measure: ThetaMeasure
@@ -123,6 +124,10 @@ class BasisFamily:
 
     def _matrix(self, theta: np.ndarray, m: int) -> np.ndarray:
         raise ValueError("eval_matrix is defined for the polynomial family")
+
+    def rule_design(self, idx: np.ndarray, m: int) -> np.ndarray:
+        """The basis at the rule nodes numbered idx: rows of ``rule_table(m)``."""
+        return self.rule_table(m).take(idx, axis=0)
 
     def rule_index(self, u: np.ndarray) -> np.ndarray:
         """Indices into ``rule()`` by the inverse CDF of its weights, one per
@@ -191,27 +196,37 @@ class LegendreFamily(BasisFamily):
     def _node_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Norms of the first max_level polynomials under the measure's own
         rule, the exact inner product used everywhere (level m takes [:m]),
-        and the design at the rule nodes, one contiguous row per node: its
-        first m columns are design(nodes, m) bit for bit."""
+        and the design at the rule nodes, normalised in place as in
+        ``_matrix``: its first m columns are design(nodes, m) in bytes and
+        strides."""
         mes = self.measure
         x = 2.0 * (mes.nodes - mes.a) / (mes.b - mes.a) - 1.0
         V = _legvander(x, self.max_level - 1)
         norms = np.sqrt(np.einsum("nm,nm,n->m", V, V, mes.weights))
-        return norms, np.ascontiguousarray(V / norms)
+        V /= norms
+        V.flags.writeable = False  # rule_table hands out views of it
+        return norms, V
+
+    def _norms(self, m: int) -> np.ndarray:
+        if m > self.max_level:
+            raise ValueError(f"m={m} polynomials need more quadrature nodes "
+                             f"({self.measure.quadrature_nodes} available)")
+        return self._node_table[0][:m]
 
     def _matrix(self, theta: np.ndarray, m: int) -> np.ndarray:
-        mes = self.measure
-        if m > self.max_level:
-            raise ValueError(
-                f"m={m} polynomials need more quadrature nodes "
-                f"({mes.quadrature_nodes} available)"
-            )
+        mes, norms = self.measure, self._norms(m)
         x = 2.0 * (theta - mes.a) / (mes.b - mes.a) - 1.0
         # in place: no second array, and legvander's strided layout, which
         # B @ u's summation order follows
         V = _legvander(x, m - 1)
-        V /= self._node_table[0][:m]
+        V /= norms
         return V
+
+    def rule_table(self, m: int) -> np.ndarray:
+        """The first m columns of the node table: legvander's layout, which
+        a contiguous copy would not keep in the last bit of B @ u."""
+        self._norms(m)  # refuses m above max_level
+        return self._node_table[1][:, :m]
 
     def rows(self, m: int) -> int:
         return m
@@ -222,9 +237,6 @@ class LegendreFamily(BasisFamily):
 
     def design(self, theta: np.ndarray, m: int) -> np.ndarray:
         return self.eval_matrix(theta, m)
-
-    def rule_design(self, idx: np.ndarray, m: int) -> np.ndarray:
-        return self._node_table[1][:, :m].take(idx, axis=0)
 
     def apply(self, B: np.ndarray, c: np.ndarray) -> np.ndarray:
         return B @ c
@@ -281,8 +293,8 @@ class PiecewiseFamily(BasisFamily):
     def design(self, theta: np.ndarray, m: int) -> np.ndarray:
         return cell_index(self.partition, self.measure, theta)
 
-    def rule_design(self, idx: np.ndarray, m: int) -> np.ndarray:
-        return idx // self.cell_nodes
+    def rule_table(self, m: int) -> np.ndarray:
+        return np.arange(len(self.rule()[0])) // self.cell_nodes
 
     def apply(self, idx: np.ndarray, c: np.ndarray) -> np.ndarray:
         return c[idx]
@@ -326,9 +338,8 @@ class PiecewiseFamily(BasisFamily):
 
     def reference_tail_norm(self, f: ScalarField, m: int) -> float:
         """Distance of f from its cell averages: the partition is the level."""
-        proj = analyze(f, self, self.partition.n_cells)
-        nodes, weights = self.rule()
-        diff = eval_field(f, nodes) - synthesize(proj, nodes)
+        nodes, weights, x = rule_synthesis(analyze(f, self, self.partition.n_cells))
+        diff = eval_field(f, nodes) - x
         return float(np.sqrt(max(np.einsum("nq,nq,n->", diff, diff, weights), 0.0)))
 
     def header(self) -> list[str]:
@@ -396,6 +407,13 @@ def synthesize(e: Expansion, theta: Union[float, np.ndarray]) -> np.ndarray:
     return vals[0] if scalar else vals
 
 
+def rule_synthesis(e: Expansion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(nodes, weights, values)``: e synthesized at every node of its
+    family's rule, from the family's ``rule_table``."""
+    nodes, weights = e.basis.rule()
+    return nodes, weights, e.basis.apply(e.basis.rule_table(e.m), e.coefficients)
+
+
 def analyze(f: ScalarField, b: BasisFamily, m: int) -> Expansion:
     """Project a field onto the first m basis functions, in the family's
     coordinates: the subgradient estimator's sum and divisor on the family's
@@ -404,7 +422,7 @@ def analyze(f: ScalarField, b: BasisFamily, m: int) -> Expansion:
     b.check_level(m, b.rows(m))
     nodes, w = b.rule()
     g = w[:, None] * eval_field(f, nodes)
-    return Expansion(b.weighted_sum(b.design(nodes, m), g, m) / b.sample_scale(1), b)
+    return Expansion(b.weighted_sum(b.rule_table(m), g, m) / b.sample_scale(1), b)
 
 
 def expansion_pi_norm(e: Expansion) -> float:

@@ -33,7 +33,8 @@ import numpy as np
 from . import basis as bs
 from .measure import ThetaMeasure
 from .oracle import OracleConfig
-from .problems import NoiseModel, ProblemSpec, mincut_problem, quadratic_problem
+from .problems import (QUADRATIC_DIMENSION, NoiseModel, ProblemSpec, mincut_problem,
+                       quadratic_problem)
 from .rsg import RsgConfig, ZeroProbeError, restarted_outer, stage_count, trace_to_csv
 from .submodular import CutGraph, min_cut_value_function, parse_cut_graph, threshold_round
 
@@ -249,7 +250,8 @@ def load_config(path: Path, seed_override: Optional[int] = None,
             raise ConfigError(f"rsg.k: cannot derive it from eps0 / eps_target ({exc})") from exc
     _require(loops * k <= MAX_STAGES, "rsg.outer_loops",
              f"outer_loops * k = {loops * k} stages, above the cap of {MAX_STAGES}")
-    sigma, q = _field(cp, "rsg.noise_sigma"), 2 if graph is None else len(graph.ground_set)
+    sigma = _field(cp, "rsg.noise_sigma")
+    q = QUADRATIC_DIMENSION if graph is None else len(graph.ground_set)
     _require(np.isfinite(sigma * sigma * q), "rsg.noise_sigma",
              f"the noise variance sigma^2 * q overflows at q = {q}")
     noise = NoiseModel("additive_gaussian", sigma) if sigma > 0 else NoiseModel()
@@ -321,7 +323,7 @@ class StatsReport:
         }
         if self.cut_frequencies is not None:
             payload["cut_frequencies"] = self.cut_frequencies
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def compute_statistics(
@@ -339,8 +341,7 @@ def compute_statistics(
     quantile of its component NaN."""
     if n < 1:
         raise ValueError("need n >= 1 atoms")
-    nodes, weights = e.basis.rule()
-    vals = bs.synthesize(e, nodes)
+    _, weights, vals = bs.rule_synthesis(e)
     mean = weights @ vals
     var = weights @ vals**2 - mean**2
 
@@ -456,8 +457,13 @@ def _cmd_stats(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"expansion: {exc}") from exc
     _check_expansion(e, cfg)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            text = cfg.statistics(e).to_json()
+    except FloatingPointError as exc:  # finite coefficients whose synthesis overflows
+        raise ConfigError(f"expansion: its statistics are not finite ({exc})") from exc
     target = cfg.out_dir / "stats.json"
-    _write_all({target: cfg.statistics(e).to_json()})
+    _write_all({target: text})
     print(target)
     return 0
 

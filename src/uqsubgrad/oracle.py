@@ -8,11 +8,11 @@ for the coefficients of the level-m truncated subgradient under the rule's
 inner product, in the coordinates an Expansion of the matching family uses.
 
 Draws come in blocks: a :class:`ThetaBlock` holds T rows of n rule-node
-indices, their noise, the basis at the drawn nodes gathered once (Legendre
-rows from one table at the rule nodes, or each node's cell) and the problem's
-subgradient bound to them once. The solver draws one block per stage and
-steps through its rows; :func:`estimate_truncated_subgradient` is the T = 1
-case. Within a block the indices are drawn first and the noise second.
+indices, their noise, the basis at the drawn nodes gathered once from the
+family's table at its rule nodes, and the problem's subgradient bound to them
+once. The solver draws one block per stage and steps through its rows;
+:func:`estimate_truncated_subgradient` is the T = 1 case. Within a block the
+indices are drawn first and the noise second.
 Reductions are plain fixed-order numpy sums, so a fixed seed reproduces the
 output bit for bit.
 """
@@ -135,7 +135,7 @@ def estimate_G_V(
         raise ValueError("need at least one probe expansion")
     worst = 0.0
     for e in probes:
-        nodes, w = e.basis.rule()
-        g = np.asarray(p.subgradient(bs.synthesize(e, nodes), nodes), dtype=float)
+        nodes, w, x = bs.rule_synthesis(e)
+        g = np.asarray(p.subgradient(x, nodes), dtype=float)
         worst = max(worst, float(w @ np.sum(g**2, axis=-1)))
     return GVEstimate(G_sq=1.5 * worst, V_sq=cfg.noise.variance_total(p.dimension))

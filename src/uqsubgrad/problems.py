@@ -79,6 +79,8 @@ class ProblemSpec:
     optional pre-drawn (..., q) array added to the clean subgradient.
     lipschitz bounds subgradient fields in the pi-norm over the feasible set
     (the constant consumed by the remainder bound L * ||R_m||).
+    reference_values, when given, is the optimal value function theta ->
+    f*(theta) on theta arrays, which a run's trace error measures against.
     stage(nodes, idx), when given, binds a solver stage's (T, n) block of
     indices into the rule nodes once and returns step(x, t, noise=None), which
     must equal subgradient(x, nodes[idx[t]], noise) bit for bit; it lets a
@@ -90,7 +92,7 @@ class ProblemSpec:
     subgradient: Callable[..., np.ndarray]
     projection: ProjectionSpec
     lipschitz: float
-    reference_optimum: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    reference_values: Optional[Callable[[np.ndarray], np.ndarray]] = None
     stage: Optional[Callable[[np.ndarray, np.ndarray], Callable[..., np.ndarray]]] = None
 
 
@@ -164,6 +166,8 @@ def farthest_feasible_distance(e: bs.Expansion, p: ProjectionSpec) -> Optional[f
 
 # -- Quadratic instance ----------------------------------------------------------
 
+QUADRATIC_DIMENSION = 2  # q: one component per curvature pair
+
 
 def quadratic_reference(theta: np.ndarray) -> np.ndarray:
     """Closed-form optimum, identical in both components; its basis
@@ -172,7 +176,7 @@ def quadratic_reference(theta: np.ndarray) -> np.ndarray:
     s = np.sin(t)
     core = np.abs(0.8 + 0.25 * np.exp(s) - np.cosh(s**2))
     vals = core * (1.0 + np.sin(2.0 * t))
-    out = np.empty(vals.shape + (2,))
+    out = np.empty(vals.shape + (QUADRATIC_DIMENSION,))
     out[...] = vals[..., None]
     return out
 
@@ -183,8 +187,9 @@ def quadratic_problem(
     """Two-component piecewise quadratic with branch curvatures mu/4, mu/2 in
     the first coordinate and L/2, L/4 in the second, all centred on the same
     closed-form optimum. At the optimum itself a coordinate's gradient is a
-    zero and its objective term vanishes, whichever curvature applies.
-    Feasible set: coefficient-space L2 ball of the given radius.
+    zero and its objective term vanishes, whichever curvature applies, so
+    f* is +0.0 everywhere. Feasible set: coefficient-space L2 ball of the
+    given radius.
     """
     if not 0 < mu <= L:
         raise ValueError("need 0 < mu <= L")
@@ -228,12 +233,12 @@ def quadratic_problem(
     lip = max(mu, L) * (radius + ref_norm)
 
     return ProblemSpec(
-        dimension=2,
+        dimension=QUADRATIC_DIMENSION,
         objective=objective,
         subgradient=subgradient,
         projection=l2_ball(radius),
         lipschitz=lip,
-        reference_optimum=quadratic_reference,
+        reference_values=lambda theta: np.zeros(np.shape(theta)),
         stage=stage,
     )
 
@@ -389,7 +394,6 @@ def mincut_problem(g: CutGraph, measure: ThetaMeasure) -> ProblemSpec:
         subgradient=subgradient,
         projection=per_cell_box(0.0, 1.0),
         lipschitz=lip,
-        reference_optimum=None,
         stage=stage,
     )
 
@@ -399,47 +403,15 @@ def mincut_problem(g: CutGraph, measure: ThetaMeasure) -> ProblemSpec:
 
 def expected_objective(p: ProblemSpec, e: bs.Expansion) -> float:
     """E_pi f(x(theta), theta) for the synthesized expansion."""
-    nodes, weights = e.basis.rule()
-    vals = p.objective(bs.synthesize(e, nodes), nodes)
-    return float(np.dot(weights, vals))
+    nodes, weights, x = bs.rule_synthesis(e)
+    return float(np.dot(weights, p.objective(x, nodes)))
 
 
-class GapNorm:
-    """pi-norm of f(x(theta), theta) - f_ref(theta) for a run's expansions.
-
-    The family's quadrature rule and the reference values on its nodes
-    depend only on the family, and the design on those nodes on the family
-    and the level. One entry keyed by (family, level) keeps them, so a call
-    at the current key costs one ``apply``, one objective and one dot
-    product; an expansion over another family or level replaces the entry.
+def objective_gap_norm(p: ProblemSpec, e: bs.Expansion,
+                       reference_values: Callable[[np.ndarray], np.ndarray]) -> float:
+    """pi-norm of f(x(theta), theta) - f_ref(theta) on the rule of e's family;
     ``reference_values`` maps theta arrays to reference objective values
-    (e.g. the optimal value function).
-    """
-
-    def __init__(
-        self, p: ProblemSpec, reference_values: Callable[[np.ndarray], np.ndarray]
-    ):
-        self.p = p
-        self.reference_values = reference_values
-        self._family = self._level = None
-
-    def __call__(self, e: bs.Expansion) -> float:
-        fam = e.basis
-        if fam != self._family:
-            self._nodes, self._weights = fam.rule()
-            self._ref = self.reference_values(self._nodes)
-            self._family, self._level = fam, None
-        if e.m != self._level:
-            self._design, self._level = fam.design(self._nodes, e.m), e.m
-        x = fam.apply(self._design, e.coefficients)
-        gap = self.p.objective(x, self._nodes) - self._ref
-        return float(np.sqrt(max(np.dot(self._weights, gap**2), 0.0)))
-
-
-def objective_gap_norm(
-    p: ProblemSpec,
-    e: bs.Expansion,
-    reference_values: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """pi-norm of f(x(theta), theta) - f_ref(theta): :class:`GapNorm` used once."""
-    return GapNorm(p, reference_values)(e)
+    (e.g. the optimal value function)."""
+    nodes, weights, x = bs.rule_synthesis(e)
+    gap = p.objective(x, nodes) - reference_values(nodes)
+    return float(np.sqrt(max(np.dot(weights, gap**2), 0.0)))

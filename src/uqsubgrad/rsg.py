@@ -17,7 +17,7 @@ Three nested loops:
   derived first step also fits the stage length (:func:`first_step`).
 
 Every stage appends one row to a :class:`RunTrace`; rows serialize to CSV with
-the documented 8-column header.
+the documented 8-column header, ``TRACE_COLUMNS``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ import numpy as np
 from . import basis as bs
 from .oracle import GVEstimate, OracleConfig, ThetaBlock, estimate_G_V
 from .problems import (
-    GapNorm,
     ProblemSpec,
     farthest_feasible_distance,
     is_feasible,
@@ -41,17 +40,6 @@ from .problems import (
     project,
     project_coefficients,
     random_feasible_like,
-)
-
-TRACE_COLUMNS = (
-    "call_index",
-    "outer_i",
-    "stage_k",
-    "m",
-    "eta",
-    "fn_error_pi",
-    "fn_error_pi_sq",
-    "elapsed_ms",
 )
 
 STAGNATION_RTOL = 1e-4  # an outer loop improving the error by less ends the run
@@ -108,6 +96,9 @@ class TraceRow:
     fn_error_pi_sq: float
     elapsed_ms: float
     coeff_hash: str = ""
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow) if f.name != "coeff_hash")
 
 
 @dataclass
@@ -223,17 +214,9 @@ def rsg_loop(
         elapsed_ms = (time.perf_counter() - tic) * 1e3
         if trace is not None:
             err = float("nan") if error_fn is None else error_fn(e)
-            row = TraceRow(
-                call_index=len(trace.rows) + 1,
-                outer_i=outer_i,
-                stage_k=k,
-                m=e.m,
-                eta=eta,
-                fn_error_pi=err,
-                fn_error_pi_sq=err * err,
-                elapsed_ms=elapsed_ms,
-                coeff_hash=coefficient_hash(e),
-            )
+            row = TraceRow(call_index=len(trace.rows) + 1, outer_i=outer_i, stage_k=k, m=e.m,
+                           eta=eta, fn_error_pi=err, fn_error_pi_sq=err * err,
+                           elapsed_ms=elapsed_ms, coeff_hash=coefficient_hash(e))
             trace.rows.append(row)
             if on_stage is not None:
                 on_stage(e, row)
@@ -253,10 +236,9 @@ def restarted_outer(
 
     Terminates when the configured number of outer loops is exhausted or when
     the recorded error stagnates (relative improvement below
-    ``STAGNATION_RTOL`` across one outer loop). When the problem carries a
-    reference optimum and no explicit ``reference_values`` is given, the trace
-    error columns measure against the reference's objective values. One
-    :class:`GapNorm` serves every stage of the run.
+    ``STAGNATION_RTOL`` across one outer loop). The trace error columns hold
+    each stage's :func:`objective_gap_norm` against ``reference_values``, or
+    the problem's own f* when none is given, and NaN when neither is.
     """
     rng = np.random.default_rng(cfg.seed)
     if start is None:
@@ -270,12 +252,8 @@ def restarted_outer(
         D = farthest_feasible_distance(start, p.projection)
         step = first_step(gv, cfg.eps0, cfg.alpha, cfg.t, D)
 
-    if reference_values is None and p.reference_optimum is not None:
-        ref = p.reference_optimum
-        reference_values = lambda th: p.objective(ref(th), th)
-    error_fn = None
-    if reference_values is not None:
-        error_fn = GapNorm(p, reference_values)
+    ref = reference_values or p.reference_values
+    error_fn = None if ref is None else lambda e: objective_gap_norm(p, e, ref)
 
     trace = RunTrace()
     e = start

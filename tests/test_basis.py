@@ -385,16 +385,21 @@ def test_legendre_family_states_its_largest_level(quad_measure):
 
 @pytest.mark.parametrize("nodes", [128, 33])
 def test_legendre_rule_table_prefixes_equal_the_design_bitwise(nodes, quad_measure):
-    """A stage gathers its design from one table at the rule nodes: its first
-    m columns are design(nodes, m), and a gathered block is the design at the
-    drawn nodes, byte for byte."""
+    """Every evaluation at the rule nodes reads one table: rule_table(m) is
+    design(nodes, m) in bytes and strides, so B @ c agrees to the last bit; a
+    gathered block is the design at the drawn nodes, byte for byte; and a
+    level above max_level is refused."""
     mes = uq.ThetaMeasure(quad_measure.a, quad_measure.b, quadrature_nodes=nodes)
     leg = uq.legendre_family(mes)
-    table = leg._node_table[1]
-    assert table.shape == (nodes, leg.max_level) and table.flags.c_contiguous
+    c = np.random.default_rng(nodes + 1).standard_normal((leg.max_level, 3))
     for m in range(1, leg.max_level + 1):
-        design = np.ascontiguousarray(leg.design(mes.nodes, m))
-        assert table[:, :m].tobytes() == design.tobytes()
+        table, design = leg.rule_table(m), leg.design(mes.nodes, m)
+        assert table.shape == design.shape == (nodes, m) and table.strides == design.strides
+        assert not table.flags.writeable
+        assert table.tobytes() == design.tobytes()
+        assert (table @ c[:m]).tobytes() == (design @ c[:m]).tobytes()
+    with pytest.raises(ValueError, match="quadrature nodes"):
+        leg.rule_table(leg.max_level + 1)
     idx = np.random.default_rng(nodes).integers(0, nodes, size=(5, 7))
     for m in (1, leg.max_level // 2, leg.max_level):
         block = leg.rule_design(idx, m)
@@ -406,6 +411,7 @@ def test_piecewise_rule_design_is_the_cell_of_each_drawn_node(cut_measure):
     fam = uq.piecewise_family(cut_measure, uq.Partition((0.5, 1.0, 3.0)))
     nodes = fam.rule()[0]
     idx = np.random.default_rng(8).integers(0, len(nodes), size=(6, 9))
+    assert np.array_equal(fam.rule_table(fam.rows(1)), fam.design(nodes, fam.rows(1)))
     assert np.array_equal(fam.rule_design(idx, fam.rows(1)), fam.design(nodes[idx], fam.rows(1)))
 
 

@@ -355,6 +355,26 @@ def test_stats_refuses_mismatched_or_malformed_expansion(tmp_path, capsys, confi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, text", [
+    ("quadratic.cfg", _expansion_text("legendre", 0.0, 2 * np.pi, 2, m=2).replace(
+        "0.5 0.5\n0.5 0.5\n", "1e308 1e308\n1e308 -1e308\n")),
+    ("mincut.cfg", _PIECEWISE_OK.replace("0.5 0.5\n", "1e200 -1e200\n", 1)),
+], ids=["legendre", "piecewise"])
+def test_stats_refuses_an_expansion_whose_statistics_overflow(tmp_path, capsys, config, text):
+    """Finite coefficients whose synthesis overflows: one config error line
+    naming the expansion, no RuntimeWarning, and no stats.json with Infinity
+    or NaN in it; no report writes such a token."""
+    exp, out = tmp_path / "expansion.txt", tmp_path / "stats-out"
+    exp.write_text(text)
+    assert cli.main(["stats", str(exp), str(DEMOS / config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: expansion: ")
+    assert not out.exists()
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            cli.StatsReport([bad], [0.0], {}).to_json()
+
+
 def test_stats_accepts_matching_expansion(tmp_path):
     exp = tmp_path / "expansion.txt"
     exp.write_text(_PIECEWISE_OK)
@@ -866,16 +886,30 @@ directory = out-dense16
 """
 
 
-def test_derived_first_step_reaches_a_dense_graph_within_two_loops(tmp_path):
-    """On a 16-node random_cut_graph G^2 is about 1,600, and the paper's
-    eps0 / (alpha G^2) leaves the run at an error of 4.01 after 40 stages;
-    the step fitted to the stage length, D / sqrt(G^2 t), ends below 0.5."""
+def dense16_cfg(tmp_path) -> Path:
+    """DENSE_CONFIG on a 16-node random_cut_graph."""
     g = random_cut_graph(np.random.default_rng(0), 16)
     lines = [f"source {g.source}", f"sink {g.sink}"]
     lines += [f"{u} {v} {base!r} {slope!r}" for u, v, base, slope in g.edges]
     (tmp_path / "dense16.edges").write_text("\n".join(lines) + "\n")
     cfg = tmp_path / "dense16.cfg"
     cfg.write_text(DENSE_CONFIG)
+    return cfg
+
+
+def test_derived_first_step_reaches_a_dense_graph_within_two_loops(tmp_path):
+    """On a 16-node random_cut_graph G^2 is about 1,600, and the paper's
+    eps0 / (alpha G^2) leaves the run at an error of 4.01 after 40 stages;
+    the step fitted to the stage length, D / sqrt(G^2 t), ends below 0.5."""
+    cfg = dense16_cfg(tmp_path)
     paths = cli.run_experiment(cli.load_config(cfg, out_override=tmp_path / "out"))
     rows = trace_rows(paths["trace"].read_text())
     assert len(rows) == 40 and rows[-1].fn_error_pi < 0.5
+
+
+def test_loaded_dimension_is_the_built_problems(tmp_path):
+    """The loader states q without building the problem: it is the built
+    problem's q, for both demos and a dense16 config."""
+    for path in (DEMOS / "quadratic.cfg", DEMOS / "mincut.cfg", dense16_cfg(tmp_path)):
+        c = cli.load_config(path)
+        assert c.dimension == c.build_problem().dimension

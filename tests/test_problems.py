@@ -8,7 +8,7 @@ import pytest
 import uqsubgrad as uq
 from uqsubgrad import basis as bs
 from uqsubgrad.problems import _CutEdges, _greedy_batch, _greedy_sums, project_coefficients
-from uqsubgrad.problems import GapNorm, objective_gap_norm, quadratic_reference
+from uqsubgrad.problems import objective_gap_norm, quadratic_reference
 from uqsubgrad.submodular import min_cut_value_function, random_cut_graph
 
 from oracles import chain_relaxation_closed_form, gap_norm_uncached, quadratic_reference_two_sines
@@ -512,33 +512,35 @@ def test_one_sine_quadratic_reference_equals_two_sine_formula_bytes():
 
 
 def gap_norm_levels(fam_at, levels, q, reference_values, p, seed):
-    """(cached, uncached) gap norms of random expansions over the families
-    ``fam_at(j)`` at ``levels[j]``, fed in order to one GapNorm."""
+    """(objective_gap_norm, from-scratch oracle) of random expansions over the
+    families ``fam_at(j)`` at ``levels[j]``, in order."""
     rng = np.random.default_rng(seed)
-    cached = GapNorm(p, reference_values)
     out = []
     for j, m in enumerate(levels):
         fam = fam_at(j)
         u = project_coefficients(rng.standard_normal((fam.rows(m), q)), p.projection)
         e = bs.Expansion(u, fam)
-        out.append((cached(e), gap_norm_uncached(p, e, reference_values)))
+        out.append((objective_gap_norm(p, e, reference_values),
+                    gap_norm_uncached(p, e, reference_values)))
     return out
 
 
-def test_gap_norm_cache_equals_uncached_along_legendre_growth(quad_problem, quad_measure):
+def test_objective_gap_norm_equals_uncached_along_legendre_growth(quad_problem, quad_measure):
     ref = lambda th: quad_problem.objective(uq.quadratic_reference(th), th)
     fam = uq.legendre_family(quad_measure)
     # growing 8 -> 12, then flat, then a family on another rule at the same level
     other = uq.legendre_family(uq.ThetaMeasure(0.0, 2.0 * np.pi, quadrature_nodes=96))
     levels = [8, 9, 10, 11, 12, 12, 12, 12, 12]
     fam_at = lambda j: other if j == 7 else fam
-    for cached, oracle in gap_norm_levels(fam_at, levels, 2, ref, quad_problem, 64):
-        assert cached == oracle
+    for table, oracle in gap_norm_levels(fam_at, levels, 2, ref, quad_problem, 64):
+        assert table == oracle
     e = bs.Expansion(np.ones((3, 2)), fam)
     assert objective_gap_norm(quad_problem, e, ref) == gap_norm_uncached(quad_problem, e, ref)
+    # the problem's own f* is the +0.0 of the objective at x*, byte for byte
+    assert quad_problem.reference_values(fam.rule()[0]).tobytes() == ref(fam.rule()[0]).tobytes()
 
 
-def test_gap_norm_cache_equals_uncached_along_piecewise_refinement(cut_measure):
+def test_objective_gap_norm_equals_uncached_along_piecewise_refinement(cut_measure):
     g = random_cut_graph(np.random.default_rng(65), 6, theta_range=(0.0, 4.0))
     p = uq.mincut_problem(g, cut_measure)
     fstar = min_cut_value_function(g)
@@ -551,8 +553,8 @@ def test_gap_norm_cache_equals_uncached_along_piecewise_refinement(cut_measure):
     assert twin.partition != fams[-1].partition
     seq = fams + [fams[-1], twin, fams[-1]]
     levels = [f.partition.n_cells for f in seq]
-    for cached, oracle in gap_norm_levels(lambda j: seq[j], levels, p.dimension, fstar, p, 67):
-        assert cached == oracle
+    for table, oracle in gap_norm_levels(lambda j: seq[j], levels, p.dimension, fstar, p, 67):
+        assert table == oracle
 
 
 def test_ball_projection_of_a_vector_whose_squared_norm_overflows():
